@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,6 +23,7 @@ from .bounds import (
     surface_region,
 )
 from .clusters import counting_bound, enumerate_connected_to_region
+from .derivatives import METHODS
 from .expansion import (
     cmi_expansion,
     cmi_order_norm_bound,
@@ -57,12 +57,11 @@ def _add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None
     )
     p.add_argument(
         "--method",
-        choices=("beta-taylor", "extended", "fd"),
+        choices=METHODS,
         default="beta-taylor",
         help="cluster-derivative method",
     )
     p.add_argument("--fd-step", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ed-limit", type=int, default=ed.DEFAULT_ED_LIMIT)
     p.add_argument("--out", default=None, help="write JSON result here")
@@ -101,7 +100,6 @@ def _provenance(args, ham=None) -> dict:
         "fd_step": getattr(args, "fd_step", None),
         "seed": getattr(args, "seed", None),
         "ed_limit": getattr(args, "ed_limit", None),
-        "threads": getattr(args, "threads", None),
     }
     if ham is not None:
         block["beta"] = ham.beta
@@ -422,15 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        import os
-
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-        ):
-            os.environ[var] = str(args.threads)
     if getattr(args, "beta", None) is None and getattr(args, "command", "") == "bound":
         args.beta = 1e-3
     return args.func(args)

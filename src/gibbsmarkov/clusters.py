@@ -182,16 +182,6 @@ def enumerate_linking(ham: Hamiltonian, a_region, c_region, m: int):
             yield c
 
 
-def enumerate_interior_connected(ham: Hamiltonian, region, m: int):
-    """Connected clusters entirely supported inside ``region``."""
-    rset = set(region)
-    inside = [i for i, t in enumerate(ham.terms) if set(t.support) <= rset]
-    for combo in combinations_with_replacement(inside, m):
-        c = make_cluster(ham, combo)
-        if is_connected(ham, c):
-            yield c
-
-
 def overlap_counts(ham: Hamiltonian, cluster: Cluster) -> tuple[int, ...]:
     """For each multiset element, the number of other elements whose support
     intersects it.  Repeated copies of the same term count toward each other

@@ -14,14 +14,17 @@ nothing is kept).  The quantity computed here is the mixed first derivative
 Everything is restricted to the union of the supports: sites outside V_w
 contribute additive constants to G that vanish under any first derivative.
 
-Three methods are provided and cross-check each other:
+Two methods are provided:
 
 * ``beta-taylor`` (default): exact multilinear coefficient extraction from the
-  Taylor series of log tr exp, organized over ordered set partitions.
-* ``extended``: exact trace formula on a product of copies of the traced-out
-  space, one copy per cluster element plus one reference copy.
-* ``fd``: central finite differences on the 2^m sign stencil, optionally
-  Richardson-extrapolated.
+  Taylor series of log tr exp, organized over ordered set partitions.  It is
+  exact for every cluster size and every kept region.
+* ``fd``: central finite differences on the 2^m sign stencil with one
+  Richardson extrapolation step, used as a black-box check.
+
+An independent exact reference that shares no combinatorics with
+``beta-taylor`` lives next to the suite that uses it, in
+:func:`gibbsmarkov.verify.exact_derivative`.
 """
 
 from __future__ import annotations
@@ -43,17 +46,9 @@ from .operators import (
 from .spin_model import Hamiltonian
 from .clusters import Cluster, overlap_counts
 
-METHODS = ("beta-taylor", "extended", "fd")
+METHODS = ("beta-taylor", "fd")
 
 DEFAULT_FD_STEP = 1e-3
-
-# Extended-space evaluation materializes matrices of linear dimension
-# d^(kept + copies * traced); refuse beyond this by default.
-DEFAULT_DIM_CEILING = 2048
-
-
-class CostCeilingError(RuntimeError):
-    """Raised when an evaluation would exceed the configured dimension cap."""
 
 
 def _cluster_pieces(ham: Hamiltonian, cluster: Cluster, kept_region):
@@ -67,11 +62,6 @@ def _cluster_pieces(ham: Hamiltonian, cluster: Cluster, kept_region):
         for i in cluster.term_indices
     ]
     return kept, traced, ops
-
-
-def _kept_axes(support, kept):
-    kset = set(kept)
-    return tuple(i for i, v in enumerate(support) if v in kset)
 
 
 # ---------------------------------------------------------------------------
@@ -160,150 +150,6 @@ def dw_beta_taylor(ham: Hamiltonian, cluster: Cluster, kept_region) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# extended-space method
-
-
-def _embed_on_copies(mat_full, support, kept, traced, copy_index, n_copies, d):
-    """Embed a V_w operator onto kept (x) traced^(n_copies), acting on the
-    given copy of the traced factor."""
-    n_kept, n_tr = len(kept), len(traced)
-    sites = n_kept + n_copies * n_tr
-    # Build index maps from V_w positions to extended-space positions.
-    pos = {}
-    for i, v in enumerate(kept):
-        pos[v] = i
-    for i, v in enumerate(traced):
-        pos[v] = n_kept + copy_index * n_tr + i
-    # Reshape the V_w matrix into site axes, then place into the big space by
-    # kron with identities and axis permutation.
-    n_vw = len(support)
-    big_dim = d ** sites
-    a = mat_full.reshape((d,) * (2 * n_vw))
-    ident = np.eye(d ** (sites - n_vw), dtype=complex).reshape(
-        (d,) * (2 * (sites - n_vw))
-    )
-    full = np.tensordot(a, ident, axes=0)
-    # Current axis order: vw rows, vw cols, id rows, id cols.  Re-interleave.
-    vw_positions = [pos[v] for v in support]
-    free = [p for p in range(sites) if p not in set(vw_positions)]
-    row_axes = [0] * sites
-    col_axes = [0] * sites
-    for i, p in enumerate(vw_positions):
-        row_axes[p] = i
-        col_axes[p] = n_vw + i
-    for i, p in enumerate(free):
-        row_axes[p] = 2 * n_vw + i
-        col_axes[p] = 2 * n_vw + len(free) + i
-    full = full.transpose(row_axes + col_axes)
-    return full.reshape(big_dim, big_dim)
-
-
-def dw_extended_space(
-    ham: Hamiltonian,
-    cluster: Cluster,
-    kept_region,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
-) -> np.ndarray:
-    """Exact mixed derivative via a trace over copies of the traced space.
-
-    With m cluster elements and traced dimension D, work on
-    kept (x) traced^m and evaluate
-
-        D_w G = ((-beta)^m / D^m) * (1/m!) * sum_sigma
-                tr_copies( g^(0)_{sigma(1)} g^(1)_{sigma(2)} ... g^(m-1)_{sigma(m)} )
-
-    where g_j = h_j - (tr_traced h_j / D) (x) 1_traced  (the traced-mean
-    subtraction), each embedded on one of the m copies, and g^(s) is the
-    symmetrized combination sum_{i<=s} g_{j,copy i} - s * g_{j,copy s+1},
-    with g^(0) acting on the first copy.  The multiset multiplicity is not
-    applied here; parameters are treated as independent.
-
-    Exactness domain: the copy construction reproduces the true derivative
-    whenever the result is a scalar (kept region empty) for any m, and for
-    any kept region when m <= 2.  For m >= 3 with a nontrivial kept factor
-    the partial-trace moments tr_traced(h^k) generally do not commute on
-    the kept space, and the fixed interleaving of the copy product drops
-    the required ordering symmetrization -- the value is then only
-    approximate.  Use dw_beta_taylor (exact everywhere) in that regime.
-    """
-    beta = ham.beta
-    d = ham.local_dim
-    kept, traced, ops = _cluster_pieces(ham, cluster, kept_region)
-    support = cluster.support
-    m = cluster.size
-    n_copies = m
-    dim = d ** (len(kept) + n_copies * len(traced))
-    if dim > dim_ceiling:
-        raise CostCeilingError(
-            f"extended-space dimension {dim} exceeds ceiling {dim_ceiling}"
-        )
-    traced_dim = d ** len(traced)
-    kept_dim = d ** len(kept) if kept else 1
-
-    # Traced-mean subtraction: g = h - (tr_traced h / D) embedded back.  The
-    # subtraction changes the first factor's trace, which only cancels out of
-    # the symmetrized product for m >= 2; at m = 1 the bare term is used.
-    g_mats = []
-    for op in ops:
-        mat = op.matrix.copy()
-        if traced and m >= 2:
-            full = SupportedOperator(support, mat, local_dim=d)
-            if kept:
-                meanop = partial_trace(full, kept)
-                mean_emb = embed(
-                    SupportedOperator(
-                        kept, meanop.matrix / traced_dim, local_dim=d
-                    ),
-                    support,
-                ).matrix
-            else:
-                mean_emb = (np.trace(mat) / traced_dim) * np.eye(
-                    mat.shape[0], dtype=complex
-                )
-            mat = mat - mean_emb
-        g_mats.append(mat)
-
-    # Per-operator, per-copy embeddings on the extended space.
-    per_copy = [
-        [
-            _embed_on_copies(g, support, kept, traced, c, n_copies, d)
-            for c in range(n_copies)
-        ]
-        for g in g_mats
-    ]
-
-    def level_op(j, s):
-        if s == 0:
-            return per_copy[j][0]
-        acc = per_copy[j][0].copy()
-        for i in range(1, s):
-            acc += per_copy[j][i]
-        acc -= s * per_copy[j][s]
-        return acc
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for sigma in permutations(range(m)):
-        prod = level_op(sigma[0], 0)
-        for s in range(1, m):
-            prod = prod @ level_op(sigma[s], s)
-        total += prod
-
-    # Trace out every copy of the traced space, keep the kept sites.
-    n_kept = len(kept)
-    sites = n_kept + n_copies * len(traced)
-    big = SupportedOperator(tuple(range(sites)), total, local_dim=d)
-    if n_kept:
-        reduced = partial_trace(big, tuple(range(n_kept))).matrix
-    else:
-        reduced = np.array([[np.trace(total)]])
-    scale = (-beta) ** m / (traced_dim ** m * math.factorial(m))
-    out = scale * reduced
-    if not kept:
-        return out.reshape(1, 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # finite-difference method
 
 
@@ -374,11 +220,10 @@ def dw_finite_difference(
     cluster: Cluster,
     kept_region,
     step: float = DEFAULT_FD_STEP,
-    richardson: bool = True,
 ) -> np.ndarray:
     """Central-difference mixed derivative on the 2^m sign stencil.
 
-    D(h) = (2h)^-m * sum_{s in {-1,+1}^m} (prod s_j) G(s * h); the default
+    D(h) = (2h)^-m * sum_{s in {-1,+1}^m} (prod s_j) G(s * h); one
     Richardson pass returns (4 D(h/2) - D(h)) / 3.  A warning is issued when
     the result sits near the cancellation floor of the stencil.
     """
@@ -402,11 +247,8 @@ def dw_finite_difference(
         return acc / (2.0 * h) ** m
 
     coarse = stencil(step)
-    if richardson:
-        fine = stencil(step / 2.0)
-        result = (4.0 * fine - coarse) / 3.0
-    else:
-        result = coarse
+    fine = stencil(step / 2.0)
+    result = (4.0 * fine - coarse) / 3.0
     floor = 1e3 * np.finfo(float).eps * max_abs / step ** m
     if float(np.max(np.abs(result))) < floor:
         warnings.warn(
@@ -427,8 +269,6 @@ def cluster_derivative(
     kept_region,
     method: str = "beta-taylor",
     fd_step: float = DEFAULT_FD_STEP,
-    richardson: bool = True,
-    dim_ceiling: int = DEFAULT_DIM_CEILING,
 ) -> np.ndarray:
     """Mixed first derivative D_w G restricted to the kept sites in V_w.
 
@@ -438,11 +278,7 @@ def cluster_derivative(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "beta-taylor":
         return dw_beta_taylor(ham, cluster, kept_region)
-    if method == "extended":
-        return dw_extended_space(ham, cluster, kept_region, dim_ceiling=dim_ceiling)
-    return dw_finite_difference(
-        ham, cluster, kept_region, step=fd_step, richardson=richardson
-    )
+    return dw_finite_difference(ham, cluster, kept_region, step=fd_step)
 
 
 def derivative_operator(

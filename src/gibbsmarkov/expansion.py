@@ -17,20 +17,19 @@ by an explicit geometric series — the truncation certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import SupportedOperator, embed, expm_hermitian
 from .spin_model import FiniteRange, Hamiltonian
 from .clusters import (
-    Cluster,
     enumerate_connected,
     enumerate_connected_to_region,
     enumerate_linking,
 )
 from .derivatives import cluster_derivative, cmi_cluster_term
-from .bounds import critical_beta, finite_range_cmi_bound, surface_region
+from .bounds import critical_beta, surface_region
 from . import ed
 
 

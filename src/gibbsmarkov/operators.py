@@ -8,7 +8,7 @@ permutations derive from that single rule.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,17 +129,6 @@ def multiply(a: SupportedOperator, b: SupportedOperator) -> SupportedOperator:
     am = embed(a, target)
     bm = embed(b, target)
     return SupportedOperator(target, am.matrix @ bm.matrix, a.local_dim)
-
-
-def add(a: SupportedOperator, b: SupportedOperator) -> SupportedOperator:
-    if a.local_dim != b.local_dim:
-        raise OperatorError("operands have different local dimensions")
-    target = tuple(sorted(set(a.support) | set(b.support)))
-    return SupportedOperator(target, embed(a, target).matrix + embed(b, target).matrix, a.local_dim)
-
-
-def scale(a: SupportedOperator, factor: complex) -> SupportedOperator:
-    return SupportedOperator(a.support, factor * a.matrix, a.local_dim)
 
 
 def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:

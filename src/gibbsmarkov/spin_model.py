@@ -262,12 +262,14 @@ def g_tilde(ham: Hamiltonian, l: int) -> float:
 # model file I/O
 
 def _parse_interaction_class(spec) -> FiniteRange | PowerLaw:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ModelError(f"bad interaction_class entry: {spec!r}")
-    if "finite_range" in spec:
-        return FiniteRange(int(spec["finite_range"]))
-    if "power_law" in spec:
-        return PowerLaw(float(spec["power_law"]))
+    if isinstance(spec, dict) and len(spec) == 1:
+        try:
+            if "finite_range" in spec:
+                return FiniteRange(int(spec["finite_range"]))
+            if "power_law" in spec:
+                return PowerLaw(float(spec["power_law"]))
+        except (TypeError, ValueError):
+            pass
     raise ModelError(f"bad interaction_class entry: {spec!r}")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from gibbsmarkov.spin_model import (
     FiniteRange,
+    ModelError,
     PAULI,
     PowerLaw,
     ValidationError,
@@ -244,4 +245,32 @@ class TestModelFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
+            load_model(path)
+
+    def _power_law_doc(self, interaction_class):
+        return {
+            "local_dim": 2,
+            "vertices": 3,
+            "edges": [[0, 1], [1, 2]],
+            "interaction_class": interaction_class,
+            "beta": 0.001,
+            "terms": [
+                {"support": [0, 1], "pauli": "ZZ", "coeff": 0.4},
+                {"support": [0, 2], "pauli": "ZZ", "coeff": 0.1},
+            ],
+        }
+
+    def test_documented_power_law_class_loads(self, tmp_path):
+        path = tmp_path / "pl.json"
+        path.write_text(json.dumps(self._power_law_doc({"power_law": 2.0})))
+        ham = load_model(path)
+        assert ham.interaction_class == PowerLaw(2.0)
+
+    @pytest.mark.parametrize(
+        "spec", [{"power_law": {"alpha": 2.0, "g": 1.0}}, {"finite_range": "one"}]
+    )
+    def test_non_numeric_interaction_class_is_a_model_error(self, tmp_path, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self._power_law_doc(spec)))
+        with pytest.raises(ModelError, match="interaction_class"):
             load_model(path)
