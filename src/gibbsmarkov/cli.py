@@ -61,7 +61,6 @@ def _add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None
         default="beta-taylor",
         help="cluster-derivative method",
     )
-    p.add_argument("--fd-step", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ed-limit", type=int, default=ed.DEFAULT_ED_LIMIT)
     p.add_argument("--out", default=None, help="write JSON result here")
@@ -97,7 +96,6 @@ def _provenance(args, ham=None) -> dict:
         "version": __version__,
         "command": args.command,
         "method": getattr(args, "method", None),
-        "fd_step": getattr(args, "fd_step", None),
         "seed": getattr(args, "seed", None),
         "ed_limit": getattr(args, "ed_limit", None),
     }
@@ -145,9 +143,8 @@ def cmd_effham(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
     order = _pick_order(ham, region, args)
-    kw = {"fd_step": args.fd_step} if args.method == "fd" else {}
     res = effective_hamiltonian(
-        ham, region, order, method=args.method, ed_limit=args.ed_limit, **kw
+        ham, region, order, method=args.method, ed_limit=args.ed_limit
     )
     prov = _provenance(args, ham)
     _print_provenance(prov)

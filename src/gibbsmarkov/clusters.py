@@ -2,15 +2,17 @@
 
 A cluster is a multiset of term indices into ``Hamiltonian.terms``.  Its
 multiplicity n_w counts the ordered sequences realizing the multiset.
-Connectivity is decided on the intersection graph of the supports, with
-anchor regions attached as virtual nodes.
+Every enumerator runs one grower, ``_grow``, whose cost scales with the
+clusters it emits.  The predicates ``is_connected``, ``is_connected_to`` and
+``links_regions`` decide connectivity on the intersection graph of the
+supports, with anchor regions attached as virtual nodes; they are the
+independent reference for the enumerators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .spin_model import Hamiltonian
 
@@ -117,68 +119,64 @@ def links_regions(ham: Hamiltonian, cluster: Cluster, a_region, b_region) -> boo
     return bool(sup & a_set) and bool(sup & b_set)
 
 
-def _max_term_diameter(ham: Hamiltonian) -> float:
-    return max((t.diameter for t in ham.terms), default=0.0)
+def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=(), within=None) -> list[Cluster]:
+    """Size-m clusters of terms inside ``within`` (default: the whole graph)
+    that hold a term meeting ``seeds`` (default: any term) and are connected
+    to ``anchor`` (connected outright when it is empty), in the sorted order
+    in which a scan over all multisets of term indices would meet them.
 
-
-def _candidates_near(ham: Hamiltonian, anchors, m: int):
-    """Indices of terms that could belong to a size-m cluster connected to the
-    anchors: each support must be within (m-1) * max_diam hops of every anchor.
+    Level j+1 is {w + t : w in level j, t whose support meets V_w u anchor}.
+    This is exhaustive: root a spanning tree of a wanted cluster's
+    intersection graph at the anchor (at a seed element when there is none).
+    Some leaf is not the root; without it the cluster is still wanted, one
+    size smaller, and the leaf meets that smaller support or the anchor.
     """
-    reach = (m - 1) * max(_max_term_diameter(ham), 1.0)
-    out = []
-    for i, t in enumerate(ham.terms):
-        ok = True
-        for anchor in anchors:
-            if ham.graph.distance(t.support, anchor) > reach:
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return out
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    terms = ham.terms
+    allowed = [i for i, t in enumerate(terms) if within is None or within.issuperset(t.support)]
+    touching: dict[int, list[int]] = {}
+    for i in allowed:
+        for v in terms[i].support:
+            touching.setdefault(v, []).append(i)
+    anchor = set(anchor)
+    level = {(i,) for i in allowed if seeds is None or seeds.intersection(terms[i].support)}
+    for _ in range(m - 1):
+        grown = set()
+        for w in level:
+            reach = anchor.union(*(terms[i].support for i in w))
+            nbrs = {t for v in reach for t in touching.get(v, ())}
+            grown.update(tuple(sorted(w + (t,))) for t in nbrs)
+        level = grown
+    return [make_cluster(ham, w) for w in sorted(level)]
 
 
 def enumerate_connected_to_region(ham: Hamiltonian, region, m: int):
     """Stream the size-m clusters connected to ``region``, in canonical
     (lexicographic multiset) order, each exactly once."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    cand = _candidates_near(ham, (region,), m)
-    for combo in combinations_with_replacement(cand, m):
-        c = make_cluster(ham, combo)
-        if is_connected_to(ham, c, region):
-            yield c
+    yield from _grow(ham, m, seeds=set(region), anchor=region)
 
 
-def enumerate_connected_to_vertex(ham: Hamiltonian, v: int, m: int):
-    yield from enumerate_connected_to_region(ham, (v,), m)
-
-
-def enumerate_connected(ham: Hamiltonian, m: int):
-    """Stream all size-m connected clusters in canonical order."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    for combo in combinations_with_replacement(range(len(ham.terms)), m):
-        c = make_cluster(ham, combo)
-        if is_connected(ham, c):
-            yield c
+def enumerate_connected(ham: Hamiltonian, m: int, within=None):
+    """Stream all size-m connected clusters in canonical order, only those
+    inside the vertex set ``within`` when it is given."""
+    yield from _grow(ham, m, within=None if within is None else set(within))
 
 
 def enumerate_linking(ham: Hamiltonian, a_region, c_region, m: int):
-    """Stream the connected size-m clusters with a support path from A to C."""
+    """Stream the connected size-m clusters with a support path from A to C:
+    those grown from the terms meeting A that also meet C."""
     if m < 1:
         raise ValueError("m must be >= 1")
     a_set, c_set = set(a_region), set(c_region)
     if a_set & c_set:
         raise ValueError("regions must be disjoint")
-    max_diam = max(_max_term_diameter(ham), 1.0)
+    max_diam = max([t.diameter for t in ham.terms] + [1.0])
     d_ac = ham.graph.distance(a_region, c_region)
     if m * max_diam < d_ac:
         return
-    cand = _candidates_near(ham, (a_region, c_region), m)
-    for combo in combinations_with_replacement(cand, m):
-        c = make_cluster(ham, combo)
-        if links_regions(ham, c, a_region, c_region):
+    for c in _grow(ham, m, seeds=a_set):
+        if c_set.intersection(c.support):
             yield c
 
 
@@ -206,16 +204,12 @@ def counting_bound(ham: Hamiltonian, complement_size: int, m: int) -> float:
 
 
 def count_bound_check(ham: Hamiltonian, complement, m: int) -> tuple[int, float]:
-    """Exhaustively count clusters that are connected with support inside the
-    complement, or that link the region to its complement; compare with the
-    closed-form bound."""
-    comp = sorted(set(int(v) for v in complement))
-    region = [v for v in range(ham.graph.vertex_count) if v not in set(comp)]
+    """Count the connected clusters inside the complement or linking it to
+    the region; compare with the closed-form bound."""
+    comp = set(int(v) for v in complement)
     count = 0
-    for combo in combinations_with_replacement(range(len(ham.terms)), m):
-        c = make_cluster(ham, combo)
-        if is_connected(ham, c) and set(c.support) <= set(comp):
-            count += 1
-        elif links_regions(ham, c, region, comp):
+    for c in enumerate_connected(ham, m):
+        # inside the complement, or meeting it and the region both
+        if comp.issuperset(c.support) or comp.intersection(c.support):
             count += 1
     return count, counting_bound(ham, len(comp), m)

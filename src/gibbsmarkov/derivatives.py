@@ -157,14 +157,13 @@ _SERIES_NORM_CUTOFF = 0.25
 _SERIES_TERM_FLOOR = 1e-30
 
 
-def _log_reduced_weight(ham, cluster, kept, traced, ops, coeffs, centered=False):
-    """G(a) on the kept sites: log of the traced Gibbs weight of
-    sum_j a_j h_j restricted to V_w.
+def _log_reduced_weight(ham, cluster, kept, traced, ops, coeffs):
+    """G(a) - G(0) on the kept sites: log of the traced Gibbs weight of
+    sum_j a_j h_j restricted to V_w, less the constant log(d^{traced sites}).
 
-    With ``centered`` the additive constant log(d^{traced sites}) at a = 0 is
-    dropped.  The constant cancels from any difference stencil anyway, but
-    carrying it destroys the low-order bits of the tiny remainder; the
-    centered form keeps the full precision of the deviation from a = 0.
+    The constant cancels from any difference stencil anyway, but carrying
+    it destroys the low-order bits of the tiny remainder; dropping it keeps
+    the full precision of the deviation from a = 0.
 
     Near a = 0 the weight is evaluated as identity-plus-series (exp minus
     one, then log near one), so the returned deviation is accurate relative
@@ -178,7 +177,6 @@ def _log_reduced_weight(ham, cluster, kept, traced, ops, coeffs, centered=False)
     a_mat = -ham.beta * total
     dim = a_mat.shape[0]
     traced_dim = d ** len(traced)
-    const = math.log(traced_dim) if kept else math.log(dim)
 
     if np.linalg.norm(a_mat, 2) <= _SERIES_NORM_CUTOFF:
         # E = exp(A) - I, summed until the terms fall below the noise floor
@@ -202,7 +200,7 @@ def _log_reduced_weight(ham, cluster, kept, traced, ops, coeffs, centered=False)
                 out += ((-1.0) ** (k + 1) / k) * power
         else:
             out = np.array([[math.log1p(np.trace(e_mat).real / dim)]])
-        return out if centered else out + const * np.eye(out.shape[0])
+        return out
 
     weight = expm_hermitian(
         SupportedOperator(cluster.support, total, local_dim=d), scale=-ham.beta
@@ -212,7 +210,8 @@ def _log_reduced_weight(ham, cluster, kept, traced, ops, coeffs, centered=False)
         out = logm_posdef(reduced).matrix
     else:
         out = np.array([[math.log(np.trace(weight.matrix).real)]])
-    return out - const * np.eye(out.shape[0]) if centered else out
+    const = math.log(traced_dim) if kept else math.log(dim)
+    return out - const * np.eye(out.shape[0])
 
 
 def dw_finite_difference(
@@ -237,10 +236,7 @@ def dw_finite_difference(
         acc = None
         for bits in range(1 << m):
             signs = [1.0 if bits >> j & 1 else -1.0 for j in range(m)]
-            val = _log_reduced_weight(
-                ham, cluster, kept, traced, ops, [s * h for s in signs],
-                centered=True,
-            )
+            val = _log_reduced_weight(ham, cluster, kept, traced, ops, [s * h for s in signs])
             max_abs = max(max_abs, float(np.max(np.abs(val))))
             signed = math.prod(signs) * val
             acc = signed if acc is None else acc + signed
@@ -268,7 +264,6 @@ def cluster_derivative(
     cluster: Cluster,
     kept_region,
     method: str = "beta-taylor",
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Mixed first derivative D_w G restricted to the kept sites in V_w.
 
@@ -278,15 +273,15 @@ def cluster_derivative(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "beta-taylor":
         return dw_beta_taylor(ham, cluster, kept_region)
-    return dw_finite_difference(ham, cluster, kept_region, step=fd_step)
+    return dw_finite_difference(ham, cluster, kept_region)
 
 
 def derivative_operator(
-    ham: Hamiltonian, cluster: Cluster, kept_region, **kw
+    ham: Hamiltonian, cluster: Cluster, kept_region, method: str = "beta-taylor"
 ) -> SupportedOperator:
     """Same as :func:`cluster_derivative` but wrapped with its support."""
     kept = tuple(v for v in cluster.support if v in set(kept_region))
-    mat = cluster_derivative(ham, cluster, kept_region, **kw)
+    mat = cluster_derivative(ham, cluster, kept_region, method=method)
     if not kept:
         return scalar_operator(complex(mat[0, 0]), (), local_dim=ham.local_dim)
     return SupportedOperator(kept, mat, local_dim=ham.local_dim)
@@ -319,7 +314,6 @@ def cmi_cluster_term(
     b_region,
     c_region,
     method: str = "beta-taylor",
-    **kw,
 ) -> SupportedOperator:
     """Four-region combination of cluster derivatives,
 
@@ -342,7 +336,7 @@ def cmi_cluster_term(
     dim = ham.local_dim ** len(target)
     acc = np.zeros((dim, dim), dtype=complex)
     for key, region in regions.items():
-        op = derivative_operator(ham, cluster, region, method=method, **kw)
+        op = derivative_operator(ham, cluster, region, method=method)
         if op.support:
             acc += signs[key] * embed(op, target).matrix
         else:

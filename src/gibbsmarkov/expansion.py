@@ -104,13 +104,10 @@ def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
 
 def _scalar_series(ham: Hamiltonian, region, order: int, method: str) -> float:
     """log tr e^{-beta H_region} via the cluster series on the region."""
-    sub = tuple(sorted(set(map(int, region))))
+    sub = set(map(int, region))
     value = len(sub) * math.log(ham.local_dim)
-    subset = set(sub)
     for m in range(1, order + 1):
-        for cluster in enumerate_connected(ham, m):
-            if not set(cluster.support) <= subset:
-                continue
+        for cluster in enumerate_connected(ham, m, within=sub):
             sigma = cluster_derivative(ham, cluster, (), method=method)
             weight = cluster.multiplicity / math.factorial(m)
             value += weight * float(sigma[0, 0].real)
@@ -123,7 +120,6 @@ def effective_hamiltonian(
     order: int,
     method: str = "beta-taylor",
     ed_limit: int = ed.DEFAULT_ED_LIMIT,
-    **method_kw,
 ) -> ExpansionResult:
     """Truncated effective Hamiltonian of the region.
 
@@ -151,7 +147,7 @@ def effective_hamiltonian(
         for cluster in enumerate_connected_to_region(ham, region, m):
             if not (set(cluster.support) & set(comp)):
                 continue  # interior clusters are exactly the bare terms
-            dmat = cluster_derivative(ham, cluster, region, method=method, **method_kw)
+            dmat = cluster_derivative(ham, cluster, region, method=method)
             kept = tuple(v for v in cluster.support if v in rset)
             coeff = -1.0 / (ham.beta * math.factorial(m))
             if kept:
@@ -225,10 +221,10 @@ def log_partition_function(
 
 
 def reduced_state(
-    ham: Hamiltonian, region, order: int, method: str = "beta-taylor", **kw
+    ham: Hamiltonian, region, order: int, method: str = "beta-taylor"
 ) -> tuple[SupportedOperator, ExpansionResult]:
     """Normalized e^{-beta H_eff(L)} from the truncated expansion."""
-    result = effective_hamiltonian(ham, region, order, method=method, **kw)
+    result = effective_hamiltonian(ham, region, order, method=method)
     heff = result.effective_operator()
     state = expm_hermitian(heff, scale=-ham.beta)
     mat = state.matrix / np.trace(state.matrix)
@@ -254,7 +250,6 @@ def local_observable(
     order: int,
     pad: int = 0,
     method: str = "beta-taylor",
-    **kw,
 ) -> tuple[float, float, bool]:
     """tr(reduced_state * obs) on the observable's support, optionally grown
     by ``pad`` graph hops for better accuracy.
@@ -270,7 +265,7 @@ def local_observable(
             if ham.graph.distance((v,), obs.support) <= pad
         }
     region = tuple(sorted(region))
-    state, _ = reduced_state(ham, region, order, method=method, **kw)
+    state, _ = reduced_state(ham, region, order, method=method)
     value = float(np.trace(state.matrix @ embed(obs, region).matrix).real)
     td, valid = trace_distance_certificate(ham, region, order)
     return value, obs.norm() * td if math.isfinite(td) else math.inf, valid
@@ -296,11 +291,11 @@ def entropy_certificate(ham: Hamiltonian, region, order: int) -> tuple[float, bo
 
 
 def local_entropy(
-    ham: Hamiltonian, region, order: int, method: str = "beta-taylor", **kw
+    ham: Hamiltonian, region, order: int, method: str = "beta-taylor"
 ) -> tuple[float, float, bool]:
     """Von Neumann entropy of the truncated reduced state, with the
     Fannes-Audenaert error certificate."""
-    state, _ = reduced_state(ham, region, order, method=method, **kw)
+    state, _ = reduced_state(ham, region, order, method=method)
     value = ed.entropy(state)
     cert, valid = entropy_certificate(ham, region, order)
     return value, cert, valid
@@ -333,7 +328,6 @@ def cmi_expansion(
     order: int,
     method: str = "beta-taylor",
     gibbs_state: "ed.ExactGibbs | None" = None,
-    **kw,
 ) -> CmiExpansionResult:
     """Truncated expansion of the CMI operator
 
@@ -353,7 +347,7 @@ def cmi_expansion(
     for m in range(1, order + 1):
         order_sum = 0.0
         for cluster in enumerate_linking(ham, a, c, m):
-            piece = cmi_cluster_term(ham, cluster, a, b, c, method=method, **kw)
+            piece = cmi_cluster_term(ham, cluster, a, b, c, method=method)
             weight = cluster.multiplicity / math.factorial(m)
             acc -= weight * embed(piece, target).matrix
             order_sum += weight * piece.norm()

@@ -122,15 +122,6 @@ def embed(a: SupportedOperator, target_support) -> SupportedOperator:
     return SupportedOperator(target, mat, a.local_dim)
 
 
-def multiply(a: SupportedOperator, b: SupportedOperator) -> SupportedOperator:
-    if a.local_dim != b.local_dim:
-        raise OperatorError("operands have different local dimensions")
-    target = tuple(sorted(set(a.support) | set(b.support)))
-    am = embed(a, target)
-    bm = embed(b, target)
-    return SupportedOperator(target, am.matrix @ bm.matrix, a.local_dim)
-
-
 def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:
     """Trace out ``a.support \\ keep``; the result acts on ``a.support & keep``.
 

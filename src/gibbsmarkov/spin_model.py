@@ -273,8 +273,7 @@ def _parse_interaction_class(spec) -> FiniteRange | PowerLaw:
     raise ModelError(f"bad interaction_class entry: {spec!r}")
 
 
-def _term_matrix(entry, local_dim: int) -> np.ndarray:
-    support = entry["support"]
+def _term_matrix(entry, support, local_dim: int) -> np.ndarray:
     if "pauli" in entry:
         if local_dim != 2:
             raise ModelError("pauli terms require local_dim = 2")
@@ -308,13 +307,20 @@ def load_model(path, rescale: bool = False) -> Hamiltonian:
     for key in ("local_dim", "vertices", "edges", "interaction_class", "beta", "terms"):
         if key not in data:
             raise ModelError(f"model file missing key {key!r}")
-    graph = build_graph(int(data["vertices"]), data["edges"], int(data["local_dim"]))
+    try:
+        vertices, local_dim = int(data["vertices"]), int(data["local_dim"])
+        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        supports = [[int(v) for v in entry["support"]] for entry in data["terms"]]
+        beta = float(data["beta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed field in {path}: {exc!r}") from exc
+    graph = build_graph(vertices, edges, local_dim)
     klass = _parse_interaction_class(data["interaction_class"])
-    terms = []
-    for entry in data["terms"]:
-        support = [int(v) for v in entry["support"]]
-        terms.append((support, _term_matrix(entry, graph.local_dim)))
-    return build_hamiltonian(graph, terms, klass, float(data["beta"]), rescale=rescale)
+    terms = [
+        (support, _term_matrix(entry, support, graph.local_dim))
+        for entry, support in zip(data["terms"], supports)
+    ]
+    return build_hamiltonian(graph, terms, klass, beta, rescale=rescale)
 
 
 def save_model(ham: Hamiltonian, path):

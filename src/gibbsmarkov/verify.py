@@ -9,6 +9,7 @@ text report: an identical seed gives a byte-identical report.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -20,7 +21,16 @@ from .bounds import (
     surface_region,
     tail_sum_check,
 )
-from .clusters import count_bound_check, make_cluster
+from .clusters import (
+    count_bound_check,
+    enumerate_connected,
+    enumerate_connected_to_region,
+    enumerate_linking,
+    is_connected,
+    is_connected_to,
+    links_regions,
+    make_cluster,
+)
 from .derivatives import cluster_derivative
 from .expansion import effective_hamiltonian, log_partition_function
 from .operators import embed
@@ -149,30 +159,43 @@ def suite_certificates(seed: int) -> tuple[bool, str]:
 
 
 def suite_counting(seed: int) -> tuple[bool, str]:
-    """Cluster-count ceilings and enumeration exhaustiveness."""
+    """Cluster-count ceilings, multiplicity sums, and each enumerator's list
+    against a brute-force scan filtered by the connectivity predicates."""
     lines = [f"suite: counting  seed: {seed}"]
     failures = []
     bc = critical_beta(2)
     ham = random_chain(5, 0.5 * bc, seed=seed)
     grid = random_grid(2, 3, 0.5 * bc, seed=seed + 1)
     for name, model, comp in (("chain", ham, (3, 4)), ("grid", grid, (4, 5))):
+        region = tuple(v for v in range(model.graph.vertex_count) if v not in comp)
         for m in (1, 2, 3):
             measured, bound = count_bound_check(model, comp, m)
             lines.append(f"{name} m={m} measured={measured} bound={_fmt(bound)}")
             if measured > bound:
                 failures.append(f"count bound {name} m={m}")
-    # multiset multiplicities sum to (number of terms)^m
-    for m in (1, 2):
-        from itertools import combinations_with_replacement
-
-        total = sum(
-            make_cluster(ham, idxs).multiplicity
-            for idxs in combinations_with_replacement(range(len(ham.terms)), m)
-        )
-        expected = len(ham.terms) ** m
-        lines.append(f"multiplicity sum m={m}: {total} expected {expected}")
-        if total != expected:
-            failures.append(f"multiplicity sum m={m}")
+            scan = [
+                make_cluster(model, idxs)
+                for idxs in combinations_with_replacement(range(len(model.terms)), m)
+            ]
+            total, expected = sum(w.multiplicity for w in scan), len(model.terms) ** m
+            lines.append(f"{name} m={m} multiplicity sum: {total} expected {expected}")
+            if total != expected:
+                failures.append(f"multiplicity sum {name} m={m}")
+            for label, streamed, keep in (
+                ("connected", enumerate_connected(model, m),
+                 lambda w: is_connected(model, w)),
+                ("connected within complement", enumerate_connected(model, m, within=comp),
+                 lambda w: is_connected(model, w) and set(w.support) <= set(comp)),
+                ("connected to region", enumerate_connected_to_region(model, region, m),
+                 lambda w: is_connected_to(model, w, region)),
+                ("linking", enumerate_linking(model, region, comp, m),
+                 lambda w: links_regions(model, w, region, comp)),
+            ):
+                got = [w.term_indices for w in streamed]
+                want = [w.term_indices for w in scan if keep(w)]
+                lines.append(f"{name} m={m} {label}: emitted={len(got)} scan={len(want)}")
+                if got != want:
+                    failures.append(f"enumeration {label} {name} m={m}")
     return _report(lines, failures)
 
 

@@ -9,7 +9,6 @@ from gibbsmarkov.clusters import (
     counting_bound,
     enumerate_connected,
     enumerate_connected_to_region,
-    enumerate_connected_to_vertex,
     enumerate_linking,
     is_connected,
     is_connected_to,
@@ -17,7 +16,10 @@ from gibbsmarkov.clusters import (
     make_cluster,
     overlap_counts,
 )
+from gibbsmarkov import verify
+from gibbsmarkov.random_models import power_law_chain
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
+from gibbsmarkov.verify import run_suite
 
 ZZ = np.kron(PAULI["Z"], PAULI["Z"])
 
@@ -42,6 +44,16 @@ def grid_ham(rows, cols, beta=0.001):
     g = build_graph(rows * cols, edges)
     terms = [(e, 0.2 * ZZ) for e in edges]
     return build_hamiltonian(g, terms, FiniteRange(1), beta=beta)
+
+
+def brute_force(ham, m, keep):
+    """Term tuples of the size-m multisets that ``keep`` accepts, scanned in
+    canonical order."""
+    return [
+        idxs
+        for idxs in combinations_with_replacement(range(len(ham.terms)), m)
+        if keep(make_cluster(ham, idxs))
+    ]
 
 
 class TestMultiplicity:
@@ -96,28 +108,31 @@ class TestConnectivity:
 class TestEnumeration:
     def test_path_m1_from_endpoint(self):
         ham = chain_ham(3)
-        out = [c.term_indices for c in enumerate_connected_to_vertex(ham, 0, 1)]
+        out = [c.term_indices for c in enumerate_connected_to_region(ham, (0,), 1)]
         assert out == [(0,)]
 
     def test_path_m2_from_endpoint(self):
         ham = chain_ham(3)
-        out = {c.term_indices for c in enumerate_connected_to_vertex(ham, 0, 2)}
-        assert out == {(0, 0), (0, 1)}
+        out = [c.term_indices for c in enumerate_connected_to_region(ham, (0,), 2)]
+        assert out == [(0, 0), (0, 1)]
 
     def test_exhaustive_equivalence_on_grid(self):
         ham = grid_ham(3, 3)
-        center = 4
+        center, inside = (4,), {0, 1, 2, 3, 4, 5}
         for m in (1, 2, 3):
-            streamed = {
-                c.term_indices
-                for c in enumerate_connected_to_vertex(ham, center, m)
-            }
-            brute = {
-                idxs
-                for idxs in combinations_with_replacement(range(len(ham.terms)), m)
-                if is_connected_to(ham, make_cluster(ham, idxs), (center,))
-            }
-            assert streamed == brute
+            cases = [
+                (
+                    enumerate_connected_to_region(ham, center, m),
+                    lambda w: is_connected_to(ham, w, center),
+                ),
+                (enumerate_connected(ham, m), lambda w: is_connected(ham, w)),
+                (
+                    enumerate_connected(ham, m, within=inside),
+                    lambda w: is_connected(ham, w) and set(w.support) <= inside,
+                ),
+            ]
+            for streamed, keep in cases:
+                assert [w.term_indices for w in streamed] == brute_force(ham, m, keep)
 
     def test_linking_below_distance_is_empty(self):
         ham = chain_ham(3)
@@ -129,18 +144,18 @@ class TestEnumeration:
         assert out == [(0, 1)]
 
     def test_linking_matches_brute_force_on_long_chain(self):
-        ham = chain_ham(6)
-        a, c = (0,), (5,)
-        for m in (4, 5):
-            streamed = {
-                w.term_indices for w in enumerate_linking(ham, a, c, m)
-            }
-            brute = {
-                idxs
-                for idxs in combinations_with_replacement(range(len(ham.terms)), m)
-                if links_regions(ham, make_cluster(ham, idxs), a, c)
-            }
-            assert streamed == brute
+        # the power-law chain couples all pairs: the dense overlap graph
+        dense = power_law_chain(6, 2.0, 1e-4, seed=3)
+        for ham, a, c, orders in (
+            (chain_ham(6), (0,), (5,), (4, 5)),
+            (grid_ham(3, 3), (0,), (8,), (3, 4)),
+            (dense, (0,), (5,), (1, 2, 3)),
+        ):
+            for m in orders:
+                streamed = [w.term_indices for w in enumerate_linking(ham, a, c, m)]
+                assert streamed == brute_force(
+                    ham, m, lambda w: links_regions(ham, w, a, c)
+                )
 
     def test_canonical_order_and_no_duplicates(self):
         ham = grid_ham(2, 3)
@@ -211,3 +226,25 @@ class TestCountingBound:
         assert counting_bound(ham, 3, 2) == pytest.approx(
             3 * (3 * 2 ** 2 * 2 ** 2) ** 2
         )
+
+
+class TestVerifyCountingSuite:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 7])
+    def test_passes(self, seed):
+        ok, report = run_suite("counting", seed)
+        assert ok, report
+
+    @pytest.mark.parametrize(
+        "name",
+        ["enumerate_connected", "enumerate_connected_to_region", "enumerate_linking"],
+    )
+    def test_fails_when_an_enumerator_drops_a_cluster(self, monkeypatch, name):
+        full = getattr(verify, name)
+
+        def dropping(*args, **kw):
+            return list(full(*args, **kw))[1:]
+
+        monkeypatch.setattr(verify, name, dropping)
+        ok, report = run_suite("counting", 0)
+        assert not ok
+        assert "result: FAIL" in report

@@ -9,7 +9,6 @@ from gibbsmarkov.operators import (
     expm_hermitian,
     identity,
     logm_posdef,
-    multiply,
     operator_norm,
     partial_trace,
     trace_norm,
@@ -44,30 +43,6 @@ class TestEmbed:
         a = op((0, 3), np.eye(4))
         with pytest.raises(Exception):
             embed(a, (0, 1, 2))
-
-
-class TestMultiply:
-    def test_disjoint_supports_give_tensor_product(self):
-        a = op((0,), PAULI["X"])
-        b = op((1,), PAULI["Y"])
-        out = multiply(a, b)
-        assert out.support == (0, 1)
-        assert np.allclose(out.matrix, np.kron(PAULI["X"], PAULI["Y"]))
-
-    def test_overlapping_zz_chain(self):
-        a = op((0, 1), np.kron(PAULI["Z"], PAULI["Z"]))
-        b = op((1, 2), np.kron(PAULI["Z"], PAULI["Z"]))
-        out = multiply(a, b)
-        expected = np.kron(np.kron(PAULI["Z"], np.eye(2)), PAULI["Z"])
-        assert np.allclose(out.matrix, expected)
-
-    def test_associativity_on_random_triples(self, rng):
-        a = op((0, 1), random_hermitian(rng, 4))
-        b = op((1, 2), random_hermitian(rng, 4))
-        c = op((0, 2), random_hermitian(rng, 4))
-        left = multiply(multiply(a, b), c)
-        right = multiply(a, multiply(b, c))
-        assert np.max(np.abs(left.matrix - right.matrix)) < 1e-12
 
 
 class TestPartialTrace:

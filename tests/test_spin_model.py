@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gibbsmarkov.spin_model import (
 from conftest import random_hermitian
 
 ZZ = np.kron(PAULI["Z"], PAULI["Z"])
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def chain(n):
@@ -274,3 +276,26 @@ class TestModelFiles:
         path.write_text(json.dumps(self._power_law_doc(spec)))
         with pytest.raises(ModelError, match="interaction_class"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("beta",), "x"),
+            (("vertices",), "x"),
+            (("local_dim",), "two"),
+            (("edges", 0), [0]),
+            (("terms", 0, "support"), "ab"),
+            (("terms", 0), 5),
+        ],
+        ids=["beta", "vertices", "local_dim", "edge", "support", "term"],
+    )
+    def test_malformed_field_is_a_model_error(self, tmp_path, path, value):
+        doc = json.loads((MODELS / "tfi_chain6.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ModelError):
+            load_model(bad)
