@@ -274,27 +274,32 @@ def _parse_interaction_class(spec) -> FiniteRange | PowerLaw:
 
 
 def _term_matrix(entry, support, local_dim: int) -> np.ndarray:
-    if "pauli" in entry:
-        if local_dim != 2:
-            raise ModelError("pauli terms require local_dim = 2")
-        s = entry["pauli"]
-        if len(s) != len(support):
-            raise ModelError(f"pauli string {s!r} does not match support {support}")
-        # letter i acts on support[i]; reorder to ascending vertex id
-        pairs = sorted(zip(support, s))
-        mat = np.array([[1.0 + 0j]])
-        for _, c in pairs:
-            if c not in PAULI:
-                raise ModelError(f"unknown pauli letter {c!r}")
-            mat = np.kron(mat, PAULI[c])
-        return float(entry.get("coeff", 1.0)) * mat
-    if "matrix" in entry:
-        dim = local_dim ** len(support)
-        flat = entry["matrix"]
-        if len(flat) != dim * dim:
-            raise ModelError(f"matrix for support {support} has {len(flat)} entries, expected {dim * dim}")
-        vals = np.array([complex(re, im) for re, im in flat])
-        return vals.reshape(dim, dim)
+    try:
+        if "pauli" in entry:
+            if local_dim != 2:
+                raise ModelError("pauli terms require local_dim = 2")
+            s = entry["pauli"]
+            if len(s) != len(support):
+                raise ModelError(f"pauli string {s!r} does not match support {support}")
+            # letter i acts on support[i]; reorder to ascending vertex id
+            pairs = sorted(zip(support, s))
+            mat = np.array([[1.0 + 0j]])
+            for _, c in pairs:
+                if c not in PAULI:
+                    raise ModelError(f"unknown pauli letter {c!r}")
+                mat = np.kron(mat, PAULI[c])
+            return float(entry.get("coeff", 1.0)) * mat
+        if "matrix" in entry:
+            dim = local_dim ** len(support)
+            flat = entry["matrix"]
+            if len(flat) != dim * dim:
+                raise ModelError(f"matrix for support {support} has {len(flat)} entries, expected {dim * dim}")
+            vals = np.array([complex(re, im) for re, im in flat])
+            return vals.reshape(dim, dim)
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"malformed term on support {support}: {exc!r}") from exc
     raise ModelError(f"term needs 'pauli' or 'matrix': {entry!r}")
 
 

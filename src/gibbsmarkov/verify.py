@@ -108,7 +108,7 @@ def suite_derivatives(seed: int) -> tuple[bool, str]:
         first_order = ham.beta * max(t.norm for t in ham.terms)
         keep = tuple(range(3))
         for _ in range(6):
-            m = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 6))
             idxs = tuple(sorted(rng.integers(0, n_terms, size=m)))
             c = make_cluster(ham, idxs)
             if len(c.support) > 4:

@@ -17,6 +17,7 @@ from scipy.linalg import expm, logm
 
 from gibbsmarkov.clusters import make_cluster
 from gibbsmarkov.derivatives import (
+    FD_MAX_SIZE,
     cluster_derivative,
     cmi_cluster_term,
     cmi_derivative_norm_bound,
@@ -163,6 +164,10 @@ class TestMethodAgreement:
         # a kept factor at m = 4 with a repeated term: the partial-trace
         # moments do not commute on the kept site, so their ordering matters
         yield ham, make_cluster(ham, (i1, i1, i2, i3)), (1,)
+        # m = 5 and 6, past fd's limit: the exact reference is the check
+        yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), (1,)
+        yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), ()
+        yield ham, make_cluster(ham, (i1, i1, i2, i2, i3, i3)), (1,)
 
     @staticmethod
     def scale(ham, c, bt):
@@ -178,6 +183,10 @@ class TestMethodAgreement:
 
     def test_beta_taylor_vs_fd(self, rng):
         for ham, c, kept in self.cases(rng):
+            if c.size > FD_MAX_SIZE:
+                with pytest.raises(ValueError, match="at most 4 elements"):
+                    dw_finite_difference(ham, c, kept)
+                continue
             bt = dw_beta_taylor(ham, c, kept)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

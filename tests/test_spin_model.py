@@ -286,8 +286,16 @@ class TestModelFiles:
             (("edges", 0), [0]),
             (("terms", 0, "support"), "ab"),
             (("terms", 0), 5),
+            (("terms", 0), {"support": [0], "pauli": "X", "coeff": "x"}),
+            (("terms", 0), {"support": [0], "pauli": 5}),
+            (("terms", 0, "matrix", 0), [1]),
+            (("terms", 0, "matrix", 0), "x"),
+            (("terms", 0, "matrix"), 7),
         ],
-        ids=["beta", "vertices", "local_dim", "edge", "support", "term"],
+        ids=[
+            "beta", "vertices", "local_dim", "edge", "support", "term",
+            "coeff", "pauli", "matrix-pair", "matrix-entry", "matrix",
+        ],
     )
     def test_malformed_field_is_a_model_error(self, tmp_path, path, value):
         doc = json.loads((MODELS / "tfi_chain6.json").read_text())
