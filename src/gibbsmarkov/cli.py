@@ -23,7 +23,7 @@ from .bounds import (
     surface_region,
 )
 from .clusters import counting_bound, enumerate_connected_to_region
-from .derivatives import METHODS
+from .derivatives import FD_MAX_SIZE, METHODS
 from .expansion import (
     cmi_expansion,
     cmi_order_norm_bound,
@@ -48,13 +48,6 @@ def _vertex_list(text: str) -> tuple[int, ...]:
 def _add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None:
     p.add_argument("--model", required=model_required, help="model file (JSON)")
     p.add_argument("--beta", type=float, default=None, help="override model beta")
-    p.add_argument("--order", type=int, default=None, help="truncation order m0")
-    p.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="pick the smallest order whose certificate is <= n*epsilon",
-    )
     p.add_argument(
         "--method",
         choices=METHODS,
@@ -78,17 +71,35 @@ def _load(args):
     return ham
 
 
-def _pick_order(ham, region, args) -> int:
-    if args.order is not None:
-        return args.order
-    if args.epsilon is not None:
+# The series subcommands, which take --order, and their default orders.
+DEFAULT_ORDER = {
+    "effham": 2, "reduced": 2, "observable": 2, "entropy": 2, "cmi": 3, "logz": 4,
+}
+
+
+def _pick_order(ham, args) -> int:
+    """--order, else the smallest order whose certificate on --region is
+    <= n*epsilon, else the subcommand's default.  An order the derivative
+    method cannot reach is refused here, before any series work."""
+    order = args.order
+    if order is None and getattr(args, "epsilon", None) is not None:
+        region = _vertex_list(args.region)
         target = args.epsilon * ham.graph.vertex_count
         for m0 in range(0, 32):
             value, valid = truncation_certificate(ham, region, m0)
             if valid and value <= target:
-                return m0
-        raise SystemExit("no order up to 31 meets the epsilon target")
-    return 2
+                order = m0
+                break
+        else:
+            raise SystemExit("no order up to 31 meets the epsilon target")
+    if order is None:
+        order = DEFAULT_ORDER[args.command]
+    if args.method == "fd" and order > FD_MAX_SIZE:
+        raise SystemExit(
+            f"--method fd handles clusters of at most {FD_MAX_SIZE} elements; "
+            f"order {order} needs larger ones"
+        )
+    return order
 
 
 def _provenance(args, ham=None) -> dict:
@@ -142,7 +153,7 @@ def cmd_clusters(args) -> int:
 def cmd_effham(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
-    order = _pick_order(ham, region, args)
+    order = _pick_order(ham, args)
     res = effective_hamiltonian(
         ham, region, order, method=args.method, ed_limit=args.ed_limit
     )
@@ -178,7 +189,7 @@ def cmd_effham(args) -> int:
 
 def cmd_logz(args) -> int:
     ham = _load(args)
-    order = args.order if args.order is not None else 4
+    order = _pick_order(ham, args)
     value, cert, valid = log_partition_function(ham, order, method=args.method)
     prov = _provenance(args, ham)
     _print_provenance(prov)
@@ -203,7 +214,7 @@ def cmd_logz(args) -> int:
 def cmd_reduced(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
-    order = _pick_order(ham, region, args)
+    order = _pick_order(ham, args)
     state, res = reduced_state(ham, region, order, method=args.method)
     prov = _provenance(args, ham)
     _print_provenance(prov)
@@ -231,7 +242,7 @@ def cmd_observable(args) -> int:
         p = PAULI[ch.upper()]
         mat = p if mat is None else np.kron(mat, p)
     obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
-    order = args.order if args.order is not None else 2
+    order = _pick_order(ham, args)
     value, cert, valid = local_observable(
         ham, obs, order, pad=args.pad, method=args.method
     )
@@ -248,7 +259,7 @@ def cmd_observable(args) -> int:
 def cmd_entropy(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
-    order = _pick_order(ham, region, args)
+    order = _pick_order(ham, args)
     value, cert, valid = local_entropy(ham, region, order, method=args.method)
     prov = _provenance(args, ham)
     _print_provenance(prov)
@@ -265,7 +276,7 @@ def cmd_cmi(args) -> int:
     a = _vertex_list(args.A)
     b = _vertex_list(args.B)
     c = _vertex_list(args.C)
-    order = args.order if args.order is not None else 3
+    order = _pick_order(ham, args)
     st = None
     if ham.graph.vertex_count <= args.ed_limit:
         st = ed.exact_gibbs(ham, limit=args.ed_limit)
@@ -412,6 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.set_defaults(func=cmd_verify)
 
+    for name, p in sub.choices.items():
+        if name in DEFAULT_ORDER:
+            p.add_argument("--order", type=int, default=None, help="truncation order m0")
+        if name in ("effham", "reduced", "entropy"):
+            p.add_argument(
+                "--epsilon",
+                type=float,
+                default=None,
+                help="pick the smallest order whose certificate on --region is <= n*epsilon",
+            )
     return ap
 
 

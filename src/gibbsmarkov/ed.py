@@ -107,19 +107,11 @@ def exact_cmi(st: ExactGibbs, a_region, b_region, c_region) -> float:
 
 
 def exact_effective_hamiltonian(st: ExactGibbs, region) -> SupportedOperator:
-    """-beta^-1 log of the un-normalized reduced Gibbs weight on the region."""
-    region = tuple(sorted(set(int(v) for v in region)))
-    ham = st.hamiltonian
-    h = hamiltonian_matrix(ham)
-    w, v = np.linalg.eigh(h.matrix)
-    weight = (v * np.exp(-ham.beta * w)) @ v.conj().T
-    reduced = partial_trace(
-        SupportedOperator(h.support, weight, local_dim=ham.local_dim), region
-    )
-    log_red = logm_posdef(reduced)
-    return SupportedOperator(
-        log_red.support, -log_red.matrix / ham.beta, local_dim=ham.local_dim
-    )
+    """-beta^-1 log of the un-normalized reduced Gibbs weight on the region,
+    read off the Gibbs state: tr_{L^c} e^{-beta H} = Z tr_{L^c} rho."""
+    log_red = logm_posdef(reduced_density(st, region))
+    mat = -(log_red.matrix + st.log_z * np.eye(log_red.dim)) / st.beta
+    return SupportedOperator(log_red.support, mat, local_dim=log_red.local_dim)
 
 
 def operator_correlation(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,16 +42,36 @@ class ExpansionResult:
     order: int
     bare_terms: tuple[SupportedOperator, ...]
     boundary_terms: dict  # m -> list of (Cluster, SupportedOperator h_w)
-    scalar_part: float  # -beta^-1 log Z_{L^c}
-    scalar_provenance: str  # "ed" | "series" | "exact-empty"
     truncation_error: float
     certificate_valid: bool
-    beta: float
-    local_dim: int
+    ham: Hamiltonian
+    method: str
+    ed_limit: int
+
+    @cached_property
+    def _scalar_channel(self) -> tuple[float, str]:
+        """(-beta^-1 log Z_{L^c}, provenance), computed on first read."""
+        ham = self.ham
+        comp = _complement(ham, self.region)
+        if not comp:
+            return 0.0, "exact-empty"
+        if len(comp) <= self.ed_limit:
+            return -_complement_log_z_ed(ham, comp) / ham.beta, "ed"
+        return -_scalar_series(ham, comp, self.order, self.method) / ham.beta, "series"
+
+    @property
+    def scalar_part(self) -> float:
+        """-beta^-1 log Z_{L^c}."""
+        return self._scalar_channel[0]
+
+    @property
+    def scalar_provenance(self) -> str:
+        """Where the scalar came from: "ed", "series" or "exact-empty"."""
+        return self._scalar_channel[1]
 
     def boundary_operator(self) -> SupportedOperator:
         """Sum of the multiplicity-weighted boundary terms on the region."""
-        dim = self.local_dim ** len(self.region)
+        dim = self.ham.local_dim ** len(self.region)
         acc = np.zeros((dim, dim), dtype=complex)
         for m, entries in sorted(self.boundary_terms.items()):
             for cluster, op in entries:
@@ -58,21 +79,19 @@ class ExpansionResult:
                     acc += cluster.multiplicity * embed(op, self.region).matrix
                 else:
                     acc += cluster.multiplicity * complex(op.matrix[0, 0]) * np.eye(dim)
-        return SupportedOperator(self.region, acc, local_dim=self.local_dim)
+        return SupportedOperator(self.region, acc, local_dim=self.ham.local_dim)
 
-    def phi_operator(self) -> SupportedOperator:
-        """Everything beyond the bare terms: boundary sum plus the scalar."""
-        b = self.boundary_operator()
-        mat = b.matrix + self.scalar_part * np.eye(b.matrix.shape[0])
-        return SupportedOperator(self.region, mat, local_dim=self.local_dim)
+    def _bare_plus_boundary(self) -> SupportedOperator:
+        """H_eff(L) without its scalar channel, which normalizing cancels."""
+        op = self.boundary_operator()
+        mat = op.matrix + sum(embed(t, self.region).matrix for t in self.bare_terms)
+        return SupportedOperator(self.region, mat, local_dim=op.local_dim)
 
     def effective_operator(self) -> SupportedOperator:
         """Bare terms plus boundary terms plus scalar, on the region."""
-        phi = self.phi_operator()
-        mat = phi.matrix.copy()
-        for t in self.bare_terms:
-            mat += embed(t, self.region).matrix
-        return SupportedOperator(self.region, mat, local_dim=self.local_dim)
+        op = self._bare_plus_boundary()
+        mat = op.matrix + self.scalar_part * np.eye(op.dim)
+        return SupportedOperator(self.region, mat, local_dim=op.local_dim)
 
     def per_order_norms(self) -> dict:
         out = {}
@@ -123,9 +142,11 @@ def effective_hamiltonian(
 ) -> ExpansionResult:
     """Truncated effective Hamiltonian of the region.
 
-    The scalar channel -beta^-1 log Z_{L^c} is evaluated exactly by dense
-    diagonalization when the complement is small enough, otherwise from its
-    own cluster series at the same order; the choice is recorded.
+    The scalar channel -beta^-1 log Z_{L^c} is computed on first read, once
+    per result: by dense diagonalization when |L^c| <= ed_limit, otherwise
+    from its own cluster series at the same order; the choice is recorded.
+    Normalized results (reduced states, observables, entropies) cancel it
+    and never compute it.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -159,27 +180,17 @@ def effective_hamiltonian(
             entries.append((cluster, op))
         boundary[m] = entries
 
-    if not comp:
-        scalar, provenance = 0.0, "exact-empty"
-    elif len(comp) <= ed_limit:
-        log_z_comp = _complement_log_z_ed(ham, comp)
-        scalar, provenance = -log_z_comp / ham.beta, "ed"
-    else:
-        scalar = -_scalar_series(ham, comp, order, method) / ham.beta
-        provenance = "series"
-
     err, valid = truncation_certificate(ham, region, order)
     return ExpansionResult(
         region=region,
         order=order,
         bare_terms=bare,
         boundary_terms=boundary,
-        scalar_part=scalar,
-        scalar_provenance=provenance,
         truncation_error=err,
         certificate_valid=valid,
-        beta=ham.beta,
-        local_dim=ham.local_dim,
+        ham=ham,
+        method=method,
+        ed_limit=ed_limit,
     )
 
 
@@ -225,8 +236,7 @@ def reduced_state(
 ) -> tuple[SupportedOperator, ExpansionResult]:
     """Normalized e^{-beta H_eff(L)} from the truncated expansion."""
     result = effective_hamiltonian(ham, region, order, method=method)
-    heff = result.effective_operator()
-    state = expm_hermitian(heff, scale=-ham.beta)
+    state = expm_hermitian(result._bare_plus_boundary(), scale=-ham.beta)
     mat = state.matrix / np.trace(state.matrix)
     return SupportedOperator(result.region, mat, local_dim=ham.local_dim), result
 

@@ -177,38 +177,3 @@ def logm_posdef(a: SupportedOperator) -> SupportedOperator:
     mat = (u * np.log(w)) @ u.conj().T
     return SupportedOperator(a.support, mat, a.local_dim)
 
-
-def reduced_log(o: SupportedOperator, region) -> SupportedOperator:
-    """log of the un-normalized reduction of ``o`` onto ``region``.
-
-    The reduction convention is tr over the complement tensored with identity;
-    since log(M (x) 1) = log(M) (x) 1, the log is computed on the kept factor
-    and re-embedded by the caller as needed.
-    """
-    red = partial_trace(o, region)
-    return logm_posdef(red)
-
-
-def conditional_log_combo(o: SupportedOperator, a_region, b_region, c_region) -> SupportedOperator:
-    """log O^{AB} + log O^{BC} - log O^{ABC} - log O^{B} on support(o).
-
-    The three regions must be disjoint and their union must equal support(o).
-    Reductions use the un-normalized convention (partial trace tensored with
-    identity, no dimension factor).
-    """
-    a_s, b_s, c_s = set(a_region), set(b_region), set(c_region)
-    if a_s & b_s or a_s & c_s or b_s & c_s:
-        raise OperatorError("regions must be disjoint")
-    if a_s | b_s | c_s != set(o.support):
-        raise OperatorError("regions must partition the operator support")
-    total = o.support
-    combo = np.zeros((o.dim, o.dim), dtype=complex)
-    for region, sign in (
-        (a_s | b_s, +1.0),
-        (b_s | c_s, +1.0),
-        (a_s | b_s | c_s, -1.0),
-        (b_s, -1.0),
-    ):
-        lg = reduced_log(o, region)
-        combo += sign * embed(lg, total).matrix
-    return SupportedOperator(total, combo, o.local_dim)

@@ -127,6 +127,22 @@ class TestSubcommands:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["logz", "--epsilon", "1e-30"],
+        ["clusters", "--anchor", "0", "--order", "3"],
+        ["effham", "--region", "0,1", "--method", "fd", "--order", "5"],
+    ])
+    def test_refuses_flags_it_cannot_honor(self, argv, model_file, monkeypatch):
+        from gibbsmarkov import expansion
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work ran before the refusal")
+
+        monkeypatch.setattr(expansion, "cluster_derivative", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--model", model_file] + argv[1:])
+        assert exc.value.code not in (0, None)
+
 
 class TestModes:
     def test_epsilon_selects_order(self, capsys, model_file):

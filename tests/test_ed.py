@@ -93,6 +93,23 @@ class TestEffectiveHamiltonian:
         want = -(2 * math.log(2) / 0.3) * np.eye(4)
         assert np.max(np.abs(eff.matrix - want)) < 1e-12
 
+    def test_partial_region_of_interacting_chain(self):
+        from scipy.linalg import expm, logm
+
+        n, beta, region = 5, 0.9 * BETA_C, (1, 3)
+        ham = random_chain(n, beta=beta, seed=101)
+        st = ed.exact_gibbs(ham)
+        eff = ed.exact_effective_hamiltonian(st, region)
+        weight = expm(-beta * ed.hamiltonian_matrix(ham).matrix)
+        rest = [v for v in range(n) if v not in region]
+        perm = list(region) + rest
+        t = weight.reshape([2] * (2 * n)).transpose(perm + [v + n for v in perm])
+        dk, dr = 2 ** len(region), 2 ** len(rest)
+        reduced = np.einsum("ajbj->ab", t.reshape(dk, dr, dk, dr))
+        want = -logm(reduced) / beta
+        assert eff.support == region
+        assert np.max(np.abs(eff.matrix - want)) < 1e-9
+
 
 class TestCorrelations:
     def test_correlation_bounded_by_cmi(self):

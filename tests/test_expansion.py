@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbsmarkov import ed
+from gibbsmarkov import ed, expansion
 from gibbsmarkov.bounds import critical_beta
 from gibbsmarkov.expansion import (
     cmi_expansion,
@@ -19,7 +19,12 @@ from gibbsmarkov.expansion import (
     trace_distance_certificate,
     truncation_certificate,
 )
-from gibbsmarkov.operators import SupportedOperator, operator_norm, trace_norm
+from gibbsmarkov.operators import (
+    SupportedOperator,
+    expm_hermitian,
+    operator_norm,
+    trace_norm,
+)
 from gibbsmarkov.random_models import random_chain, tfi_chain
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
 
@@ -110,6 +115,41 @@ class TestEffectiveHamiltonian:
         assert by_series.scalar_provenance == "series"
         # both scalar channels target log Z of the complement
         assert by_series.scalar_part == pytest.approx(by_ed.scalar_part, rel=1e-6)
+
+    def test_scalar_channel_runs_only_when_read_and_once(self, monkeypatch):
+        ham = random_chain(6, beta=0.5 * BETA_C, seed=19)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("normalized result computed the scalar channel")
+
+        monkeypatch.setattr(expansion, "_complement_log_z_ed", refuse)
+        monkeypatch.setattr(expansion, "_scalar_series", refuse)
+        reduced_state(ham, (2, 3), 2)
+        obs = SupportedOperator((2,), PAULI["Z"], local_dim=2)
+        local_observable(ham, obs, 2, pad=1)
+        local_entropy(ham, (1, 2), 2)
+        monkeypatch.undo()
+
+        calls = []
+        real = expansion._complement_log_z_ed
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(expansion, "_complement_log_z_ed", counted)
+        res = effective_hamiltonian(ham, (2, 3), 2)
+        assert not calls
+        scalar = res.scalar_part
+        assert res.scalar_provenance == "ed"
+        heff = res.effective_operator()
+        res.effective_operator()
+        assert len(calls) == 1
+        bare = heff.matrix - scalar * np.eye(4)
+        state, _ = reduced_state(ham, (2, 3), 2)
+        weight = expm_hermitian(SupportedOperator((2, 3), bare), scale=-ham.beta)
+        want = weight.matrix / np.trace(weight.matrix)
+        assert np.max(np.abs(state.matrix - want)) < 1e-14
 
     def test_rejects_negative_order_and_power_law(self):
         ham = random_chain(4, beta=0.1 * BETA_C, seed=1)

@@ -4,7 +4,6 @@ import pytest
 from gibbsmarkov.operators import (
     PositivityError,
     SupportedOperator,
-    conditional_log_combo,
     embed,
     expm_hermitian,
     identity,
@@ -110,34 +109,3 @@ class TestMatrixFunctions:
         assert operator_norm(mat) <= trace_norm(mat) + 1e-12
         assert trace_norm(mat) <= 8 * operator_norm(mat) + 1e-12
 
-
-class TestConditionalLogCombo:
-    def test_full_product_gives_zero(self, rng):
-        factors = [expm_hermitian(op((v,), random_hermitian(rng, 2))).matrix for v in range(3)]
-        joint = op((0, 1, 2), np.kron(np.kron(factors[0], factors[1]), factors[2]))
-        out = conditional_log_combo(joint, (0,), (1,), (2,))
-        assert operator_norm(out.matrix) < 1e-10
-
-    def test_gibbs_without_bc_coupling_gives_zero(self, rng):
-        # interactions only inside {0,1}: the combination must vanish
-        h = np.kron(random_hermitian(rng, 4), np.eye(2))
-        joint = op((0, 1, 2), expm_hermitian(op((0, 1, 2), h), scale=-0.7).matrix)
-        out = conditional_log_combo(joint, (0,), (1,), (2,))
-        assert operator_norm(out.matrix) < 1e-10
-
-    def test_per_factor_additivity(self, rng):
-        # the combined log of a tensor product equals the sum of the
-        # per-factor combined logs
-        g1 = expm_hermitian(op((0, 1), random_hermitian(rng, 4))).matrix
-        g2 = expm_hermitian(op((2,), random_hermitian(rng, 2))).matrix
-        joint = op((0, 1, 2), np.kron(g1, g2))
-        whole = conditional_log_combo(joint, (0,), (1,), (2,))
-        part1 = conditional_log_combo(op((0, 1), g1), (0,), (1,), ())
-        part2 = conditional_log_combo(op((2,), g2), (), (), (2,))
-        recombined = embed(part1, (0, 1, 2)).matrix + embed(part2, (0, 1, 2)).matrix
-        assert operator_norm(whole.matrix - recombined) < 1e-10
-
-    def test_empty_b_region(self, rng):
-        g = expm_hermitian(op((0, 1), random_hermitian(rng, 4))).matrix
-        out = conditional_log_combo(op((0, 1), g), (0,), (), (1,))
-        assert out.support == (0, 1)
