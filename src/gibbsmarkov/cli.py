@@ -23,7 +23,6 @@ from .bounds import (
     surface_region,
 )
 from .clusters import counting_bound, enumerate_connected_to_region
-from .derivatives import FD_MAX_SIZE, METHODS
 from .expansion import (
     cmi_expansion,
     cmi_order_norm_bound,
@@ -34,7 +33,7 @@ from .expansion import (
     reduced_state,
     truncation_certificate,
 )
-from .spin_model import FiniteRange, load_model
+from .spin_model import FiniteRange, ModelError, load_model
 from .operators import SupportedOperator
 from .verify import SUITES, run_suite
 
@@ -45,18 +44,9 @@ def _vertex_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None:
-    p.add_argument("--model", required=model_required, help="model file (JSON)")
+def _add_model(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="model file (JSON)")
     p.add_argument("--beta", type=float, default=None, help="override model beta")
-    p.add_argument(
-        "--method",
-        choices=METHODS,
-        default="beta-taylor",
-        help="cluster-derivative method",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ed-limit", type=int, default=ed.DEFAULT_ED_LIMIT)
-    p.add_argument("--out", default=None, help="write JSON result here")
     p.add_argument(
         "--rescale",
         action="store_true",
@@ -79,8 +69,7 @@ DEFAULT_ORDER = {
 
 def _pick_order(ham, args) -> int:
     """--order, else the smallest order whose certificate on --region is
-    <= n*epsilon, else the subcommand's default.  An order the derivative
-    method cannot reach is refused here, before any series work."""
+    <= n*epsilon, else the subcommand's default."""
     order = args.order
     if order is None and getattr(args, "epsilon", None) is not None:
         region = _vertex_list(args.region)
@@ -94,22 +83,14 @@ def _pick_order(ham, args) -> int:
             raise SystemExit("no order up to 31 meets the epsilon target")
     if order is None:
         order = DEFAULT_ORDER[args.command]
-    if args.method == "fd" and order > FD_MAX_SIZE:
-        raise SystemExit(
-            f"--method fd handles clusters of at most {FD_MAX_SIZE} elements; "
-            f"order {order} needs larger ones"
-        )
     return order
 
 
 def _provenance(args, ham=None) -> dict:
-    block = {
-        "version": __version__,
-        "command": args.command,
-        "method": getattr(args, "method", None),
-        "seed": getattr(args, "seed", None),
-        "ed_limit": getattr(args, "ed_limit", None),
-    }
+    block = {"version": __version__, "command": args.command}
+    for key in ("seed", "ed_limit"):
+        if hasattr(args, key):
+            block[key] = getattr(args, key)
     if ham is not None:
         block["beta"] = ham.beta
         block["beta_c"] = critical_beta(ham.k)
@@ -154,9 +135,7 @@ def cmd_effham(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
     order = _pick_order(ham, args)
-    res = effective_hamiltonian(
-        ham, region, order, method=args.method, ed_limit=args.ed_limit
-    )
+    res = effective_hamiltonian(ham, region, order, ed_limit=args.ed_limit)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     print(f"region: {list(res.region)}  order: {order}")
@@ -190,7 +169,7 @@ def cmd_effham(args) -> int:
 def cmd_logz(args) -> int:
     ham = _load(args)
     order = _pick_order(ham, args)
-    value, cert, valid = log_partition_function(ham, order, method=args.method)
+    value, cert, valid = log_partition_function(ham, order)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     print(f"log Z series (order {order}): {value:.12e}")
@@ -215,7 +194,7 @@ def cmd_reduced(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
     order = _pick_order(ham, args)
-    state, res = reduced_state(ham, region, order, method=args.method)
+    state, res = reduced_state(ham, region, order)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     print(f"reduced state on {list(region)} at order {order}")
@@ -243,9 +222,7 @@ def cmd_observable(args) -> int:
         mat = p if mat is None else np.kron(mat, p)
     obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
     order = _pick_order(ham, args)
-    value, cert, valid = local_observable(
-        ham, obs, order, pad=args.pad, method=args.method
-    )
+    value, cert, valid = local_observable(ham, obs, order, pad=args.pad)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     print(f"<{args.coeff}*{args.pauli} on {list(support)}> = {value:.12e}")
@@ -260,7 +237,7 @@ def cmd_entropy(args) -> int:
     ham = _load(args)
     region = _vertex_list(args.region)
     order = _pick_order(ham, args)
-    value, cert, valid = local_entropy(ham, region, order, method=args.method)
+    value, cert, valid = local_entropy(ham, region, order)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     print(f"entropy of {list(region)} at order {order}: {value:.12e} nats")
@@ -280,7 +257,7 @@ def cmd_cmi(args) -> int:
     st = None
     if ham.graph.vertex_count <= args.ed_limit:
         st = ed.exact_gibbs(ham, limit=args.ed_limit)
-    res = cmi_expansion(ham, a, b, c, order, method=args.method, gibbs_state=st)
+    res = cmi_expansion(ham, a, b, c, order, gibbs_state=st)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     print(f"A={list(a)} B={list(b)} C={list(c)}  order={order}")
@@ -367,27 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clusters", help="cluster counts per order with the counting bound")
-    _add_common(p)
+    _add_model(p)
     p.add_argument("--anchor", required=True, help="comma-separated anchor vertices")
     p.add_argument("--max-order", type=int, default=3)
     p.set_defaults(func=cmd_clusters)
 
     p = sub.add_parser("effham", help="truncated effective Hamiltonian of a region")
-    _add_common(p)
+    _add_model(p)
     p.add_argument("--region", required=True, help="comma-separated vertices")
     p.set_defaults(func=cmd_effham)
 
     p = sub.add_parser("logz", help="log partition function series")
-    _add_common(p)
+    _add_model(p)
     p.set_defaults(func=cmd_logz)
 
     p = sub.add_parser("reduced", help="truncated reduced Gibbs state")
-    _add_common(p)
+    _add_model(p)
     p.add_argument("--region", required=True)
     p.set_defaults(func=cmd_reduced)
 
     p = sub.add_parser("observable", help="local observable expectation")
-    _add_common(p)
+    _add_model(p)
     p.add_argument("--support", required=True)
     p.add_argument("--pauli", required=True, help="Pauli string, e.g. ZZ")
     p.add_argument("--coeff", type=float, default=1.0)
@@ -395,19 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_observable)
 
     p = sub.add_parser("entropy", help="local entropy of a region")
-    _add_common(p)
+    _add_model(p)
     p.add_argument("--region", required=True)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("cmi", help="conditional-mutual-information expansion and bounds")
-    _add_common(p)
+    _add_model(p)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True, help="may be empty for mutual information")
     p.add_argument("--C", required=True)
     p.set_defaults(func=cmd_cmi)
 
     p = sub.add_parser("bound", help="closed-form bound evaluation")
-    _add_common(p, model_required=False)
+    p.add_argument("--beta", type=float, default=1e-3, help="inverse temperature")
     p.add_argument("--kind", choices=("finite_range", "power_law", "both"),
                    default="finite_range")
     p.add_argument("--k", type=int, default=2)
@@ -419,11 +396,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    _add_common(p, model_required=False)
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     for name, p in sub.choices.items():
+        p.add_argument("--out", default=None, help="write JSON result here")
+        if name in ("effham", "logz", "cmi"):
+            p.add_argument(
+                "--ed-limit",
+                type=int,
+                default=ed.DEFAULT_ED_LIMIT,
+                help="largest system the ED oracle will attempt",
+            )
         if name in DEFAULT_ORDER:
             p.add_argument("--order", type=int, default=None, help="truncation order m0")
         if name in ("effham", "reduced", "entropy"):
@@ -438,9 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "beta", None) is None and getattr(args, "command", "") == "bound":
-        args.beta = 1e-3
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ModelError as exc:
+        raise SystemExit(f"gibbsmarkov {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -14,47 +14,24 @@ nothing is kept).  The quantity computed here is the mixed first derivative
 Everything is restricted to the union of the supports: sites outside V_w
 contribute additive constants to G that vanish under any first derivative.
 
-Two methods are provided:
-
-* ``beta-taylor`` (default): exact multilinear coefficient extraction from the
-  Taylor series of log tr exp by two recurrences over subsets of the cluster
-  elements, one for the symmetrized operator products of each subset and one
-  for the ordered block products that log(I + X) sums.  It is exact for every
-  cluster size and every kept region.
-* ``fd``: central finite differences on the 2^m sign stencil with one
-  Richardson extrapolation step, used as a black-box check on clusters of at
-  most ``FD_MAX_SIZE`` = 4 elements.
-
-An independent exact reference that shares no combinatorics with
-``beta-taylor`` lives next to the suite that uses it, in
-:func:`gibbsmarkov.verify.exact_derivative`.
+:func:`cluster_derivative` computes it exactly, for every cluster size and
+every kept region, by extracting the multilinear coefficient from the Taylor
+series of log tr exp with two recurrences over subsets of the cluster
+elements: one for the symmetrized operator products of each subset and one
+for the ordered block products that log(I + X) sums.  An independent exact
+reference that shares no combinatorics with it lives next to the suite that
+uses it, in :func:`gibbsmarkov.verify.exact_derivative`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .operators import (
-    SupportedOperator,
-    embed,
-    expm_hermitian,
-    logm_posdef,
-    partial_trace,
-    scalar_operator,
-)
+from .operators import SupportedOperator, embed, partial_trace, scalar_operator
 from .spin_model import Hamiltonian
 from .clusters import Cluster, overlap_counts
-
-METHODS = ("beta-taylor", "fd")
-
-DEFAULT_FD_STEP = 1e-3
-
-# Largest cluster fd is trusted on: at the fixed step its relative error is
-# below 1e-4 at m = 4, but of order one at m = 5 and far worse at m = 6.
-FD_MAX_SIZE = 4
 
 
 def _cluster_pieces(ham: Hamiltonian, cluster: Cluster, kept_region):
@@ -70,12 +47,11 @@ def _cluster_pieces(ham: Hamiltonian, cluster: Cluster, kept_region):
     return kept, traced, ops
 
 
-# ---------------------------------------------------------------------------
-# beta-Taylor method
+def cluster_derivative(ham: Hamiltonian, cluster: Cluster, kept_region) -> np.ndarray:
+    """Mixed first derivative D_w G restricted to the kept sites in V_w,
+    exact via the Taylor series of log tr exp.
 
-
-def dw_beta_taylor(ham: Hamiltonian, cluster: Cluster, kept_region) -> np.ndarray:
-    """Exact mixed derivative via the Taylor series of log tr exp.
+    Returns a matrix on kept_region intersect V_w (1x1 when that is empty).
 
     Index subsets of the m cluster elements by bitmasks.  The multilinear
     coefficient of prod_{j in S} a_j in tr_traced exp(-beta sum a_j h_j) / d_traced
@@ -133,146 +109,13 @@ def dw_beta_taylor(ham: Hamiltonian, cluster: Cluster, kept_region) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# finite-difference method
+# wrapped derivatives and norm bounds
 
 
-_SERIES_NORM_CUTOFF = 0.25
-_SERIES_TERM_FLOOR = 1e-30
-
-
-def _log_reduced_weight(ham, cluster, kept, traced, ops, coeffs):
-    """G(a) - G(0) on the kept sites: log of the traced Gibbs weight of
-    sum_j a_j h_j restricted to V_w, less the constant log(d^{traced sites}).
-
-    The constant cancels from any difference stencil anyway, but carrying
-    it destroys the low-order bits of the tiny remainder; dropping it keeps
-    the full precision of the deviation from a = 0.
-
-    Near a = 0 the weight is evaluated as identity-plus-series (exp minus
-    one, then log near one), so the returned deviation is accurate relative
-    to its own small magnitude rather than to the discarded constant.
-    """
-    d = ham.local_dim
-    total = None
-    for a_j, op in zip(coeffs, ops):
-        piece = a_j * op.matrix
-        total = piece if total is None else total + piece
-    a_mat = -ham.beta * total
-    dim = a_mat.shape[0]
-    traced_dim = d ** len(traced)
-
-    if np.linalg.norm(a_mat, 2) <= _SERIES_NORM_CUTOFF:
-        # E = exp(A) - I, summed until the terms fall below the noise floor
-        term = a_mat.copy()
-        e_mat = a_mat.copy()
-        k = 1
-        while np.max(np.abs(term)) > _SERIES_TERM_FLOOR:
-            k += 1
-            term = term @ a_mat / k
-            e_mat += term
-        if kept:
-            full = SupportedOperator(cluster.support, e_mat, local_dim=d)
-            f_mat = partial_trace(full, kept).matrix / traced_dim
-            # log(I + F) by the alternating series
-            out = f_mat.copy()
-            power = f_mat.copy()
-            k = 1
-            while np.max(np.abs(power)) > _SERIES_TERM_FLOOR:
-                k += 1
-                power = power @ f_mat
-                out += ((-1.0) ** (k + 1) / k) * power
-        else:
-            out = np.array([[math.log1p(np.trace(e_mat).real / dim)]])
-        return out
-
-    weight = expm_hermitian(
-        SupportedOperator(cluster.support, total, local_dim=d), scale=-ham.beta
-    )
-    if kept:
-        reduced = partial_trace(weight, kept)
-        out = logm_posdef(reduced).matrix
-    else:
-        out = np.array([[math.log(np.trace(weight.matrix).real)]])
-    const = math.log(traced_dim) if kept else math.log(dim)
-    return out - const * np.eye(out.shape[0])
-
-
-def dw_finite_difference(
-    ham: Hamiltonian,
-    cluster: Cluster,
-    kept_region,
-    step: float = DEFAULT_FD_STEP,
-) -> np.ndarray:
-    """Central-difference mixed derivative on the 2^m sign stencil.
-
-    D(h) = (2h)^-m * sum_{s in {-1,+1}^m} (prod s_j) G(s * h); one
-    Richardson pass returns (4 D(h/2) - D(h)) / 3.  A warning is issued when
-    the result sits near the cancellation floor of the stencil.
-
-    Clusters of more than ``FD_MAX_SIZE`` = 4 elements raise ``ValueError``:
-    beyond that the stencil's truncation and round-off errors swamp the result.
-    """
-    m = cluster.size
-    if m > FD_MAX_SIZE:
-        raise ValueError(
-            f"fd is limited to clusters of at most {FD_MAX_SIZE} elements "
-            f"(got m = {m}); use beta-taylor"
-        )
-    kept, traced, ops = _cluster_pieces(ham, cluster, kept_region)
-
-    max_abs = 0.0
-
-    def stencil(h):
-        nonlocal max_abs
-        acc = None
-        for bits in range(1 << m):
-            signs = [1.0 if bits >> j & 1 else -1.0 for j in range(m)]
-            val = _log_reduced_weight(ham, cluster, kept, traced, ops, [s * h for s in signs])
-            max_abs = max(max_abs, float(np.max(np.abs(val))))
-            signed = math.prod(signs) * val
-            acc = signed if acc is None else acc + signed
-        return acc / (2.0 * h) ** m
-
-    coarse = stencil(step)
-    fine = stencil(step / 2.0)
-    result = (4.0 * fine - coarse) / 3.0
-    floor = 1e3 * np.finfo(float).eps * max_abs / step ** m
-    if float(np.max(np.abs(result))) < floor:
-        warnings.warn(
-            "finite-difference result is below the cancellation floor "
-            f"({floor:.2e}); treat it as numerically zero",
-            RuntimeWarning,
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# dispatch and norm bounds
-
-
-def cluster_derivative(
-    ham: Hamiltonian,
-    cluster: Cluster,
-    kept_region,
-    method: str = "beta-taylor",
-) -> np.ndarray:
-    """Mixed first derivative D_w G restricted to the kept sites in V_w.
-
-    Returns a matrix on kept_region intersect V_w (1x1 when that is empty).
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "beta-taylor":
-        return dw_beta_taylor(ham, cluster, kept_region)
-    return dw_finite_difference(ham, cluster, kept_region)
-
-
-def derivative_operator(
-    ham: Hamiltonian, cluster: Cluster, kept_region, method: str = "beta-taylor"
-) -> SupportedOperator:
+def derivative_operator(ham: Hamiltonian, cluster: Cluster, kept_region) -> SupportedOperator:
     """Same as :func:`cluster_derivative` but wrapped with its support."""
     kept = tuple(v for v in cluster.support if v in set(kept_region))
-    mat = cluster_derivative(ham, cluster, kept_region, method=method)
+    mat = cluster_derivative(ham, cluster, kept_region)
     if not kept:
         return scalar_operator(complex(mat[0, 0]), (), local_dim=ham.local_dim)
     return SupportedOperator(kept, mat, local_dim=ham.local_dim)
@@ -304,7 +147,6 @@ def cmi_cluster_term(
     a_region,
     b_region,
     c_region,
-    method: str = "beta-taylor",
 ) -> SupportedOperator:
     """Four-region combination of cluster derivatives,
 
@@ -327,7 +169,7 @@ def cmi_cluster_term(
     dim = ham.local_dim ** len(target)
     acc = np.zeros((dim, dim), dtype=complex)
     for key, region in regions.items():
-        op = derivative_operator(ham, cluster, region, method=method)
+        op = derivative_operator(ham, cluster, region)
         if op.support:
             acc += signs[key] * embed(op, target).matrix
         else:

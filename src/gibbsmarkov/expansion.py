@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import SupportedOperator, embed, expm_hermitian
-from .spin_model import FiniteRange, Hamiltonian
+from .spin_model import FiniteRange, Hamiltonian, ModelError
 from .clusters import (
     enumerate_connected,
     enumerate_connected_to_region,
@@ -45,7 +45,6 @@ class ExpansionResult:
     truncation_error: float
     certificate_valid: bool
     ham: Hamiltonian
-    method: str
     ed_limit: int
 
     @cached_property
@@ -57,7 +56,7 @@ class ExpansionResult:
             return 0.0, "exact-empty"
         if len(comp) <= self.ed_limit:
             return -_complement_log_z_ed(ham, comp) / ham.beta, "ed"
-        return -_scalar_series(ham, comp, self.order, self.method) / ham.beta, "series"
+        return -_scalar_series(ham, comp, self.order) / ham.beta, "series"
 
     @property
     def scalar_part(self) -> float:
@@ -121,13 +120,13 @@ def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
     return tuple(v for v in range(ham.graph.vertex_count) if v not in rset)
 
 
-def _scalar_series(ham: Hamiltonian, region, order: int, method: str) -> float:
+def _scalar_series(ham: Hamiltonian, region, order: int) -> float:
     """log tr e^{-beta H_region} via the cluster series on the region."""
     sub = set(map(int, region))
     value = len(sub) * math.log(ham.local_dim)
     for m in range(1, order + 1):
         for cluster in enumerate_connected(ham, m, within=sub):
-            sigma = cluster_derivative(ham, cluster, (), method=method)
+            sigma = cluster_derivative(ham, cluster, ())
             weight = cluster.multiplicity / math.factorial(m)
             value += weight * float(sigma[0, 0].real)
     return value
@@ -137,7 +136,6 @@ def effective_hamiltonian(
     ham: Hamiltonian,
     region,
     order: int,
-    method: str = "beta-taylor",
     ed_limit: int = ed.DEFAULT_ED_LIMIT,
 ) -> ExpansionResult:
     """Truncated effective Hamiltonian of the region.
@@ -151,7 +149,7 @@ def effective_hamiltonian(
     if order < 0:
         raise ValueError("order must be >= 0")
     if not isinstance(ham.interaction_class, FiniteRange):
-        raise ValueError("effective-Hamiltonian assembly requires a finite-range model")
+        raise ModelError("effective-Hamiltonian assembly requires a finite-range model")
     region = tuple(sorted(set(map(int, region))))
     rset = set(region)
     comp = _complement(ham, region)
@@ -168,7 +166,7 @@ def effective_hamiltonian(
         for cluster in enumerate_connected_to_region(ham, region, m):
             if not (set(cluster.support) & set(comp)):
                 continue  # interior clusters are exactly the bare terms
-            dmat = cluster_derivative(ham, cluster, region, method=method)
+            dmat = cluster_derivative(ham, cluster, region)
             kept = tuple(v for v in cluster.support if v in rset)
             coeff = -1.0 / (ham.beta * math.factorial(m))
             if kept:
@@ -189,7 +187,6 @@ def effective_hamiltonian(
         truncation_error=err,
         certificate_valid=valid,
         ham=ham,
-        method=method,
         ed_limit=ed_limit,
     )
 
@@ -218,24 +215,22 @@ def log_z_certificate(ham: Hamiltonian, order: int) -> tuple[float, bool]:
     return math.inf, False
 
 
-def log_partition_function(
-    ham: Hamiltonian, order: int, method: str = "beta-taylor"
-) -> tuple[float, float, bool]:
+def log_partition_function(ham: Hamiltonian, order: int) -> tuple[float, float, bool]:
     """Cluster series for log Z truncated at the given order.
 
     Returns (value, certificate, certificate_valid).
     """
     n = ham.graph.vertex_count
-    value = _scalar_series(ham, range(n), order, method)
+    value = _scalar_series(ham, range(n), order)
     cert, valid = log_z_certificate(ham, order)
     return value, cert, valid
 
 
 def reduced_state(
-    ham: Hamiltonian, region, order: int, method: str = "beta-taylor"
+    ham: Hamiltonian, region, order: int
 ) -> tuple[SupportedOperator, ExpansionResult]:
     """Normalized e^{-beta H_eff(L)} from the truncated expansion."""
-    result = effective_hamiltonian(ham, region, order, method=method)
+    result = effective_hamiltonian(ham, region, order)
     state = expm_hermitian(result._bare_plus_boundary(), scale=-ham.beta)
     mat = state.matrix / np.trace(state.matrix)
     return SupportedOperator(result.region, mat, local_dim=ham.local_dim), result
@@ -259,7 +254,6 @@ def local_observable(
     obs: SupportedOperator,
     order: int,
     pad: int = 0,
-    method: str = "beta-taylor",
 ) -> tuple[float, float, bool]:
     """tr(reduced_state * obs) on the observable's support, optionally grown
     by ``pad`` graph hops for better accuracy.
@@ -275,7 +269,7 @@ def local_observable(
             if ham.graph.distance((v,), obs.support) <= pad
         }
     region = tuple(sorted(region))
-    state, _ = reduced_state(ham, region, order, method=method)
+    state, _ = reduced_state(ham, region, order)
     value = float(np.trace(state.matrix @ embed(obs, region).matrix).real)
     td, valid = trace_distance_certificate(ham, region, order)
     return value, obs.norm() * td if math.isfinite(td) else math.inf, valid
@@ -300,12 +294,10 @@ def entropy_certificate(ham: Hamiltonian, region, order: int) -> tuple[float, bo
     return value, valid and t <= 1.0 - 1.0 / dim
 
 
-def local_entropy(
-    ham: Hamiltonian, region, order: int, method: str = "beta-taylor"
-) -> tuple[float, float, bool]:
+def local_entropy(ham: Hamiltonian, region, order: int) -> tuple[float, float, bool]:
     """Von Neumann entropy of the truncated reduced state, with the
     Fannes-Audenaert error certificate."""
-    state, _ = reduced_state(ham, region, order, method=method)
+    state, _ = reduced_state(ham, region, order)
     value = ed.entropy(state)
     cert, valid = entropy_certificate(ham, region, order)
     return value, cert, valid
@@ -336,7 +328,6 @@ def cmi_expansion(
     b_region,
     c_region,
     order: int,
-    method: str = "beta-taylor",
     gibbs_state: "ed.ExactGibbs | None" = None,
 ) -> CmiExpansionResult:
     """Truncated expansion of the CMI operator
@@ -357,7 +348,7 @@ def cmi_expansion(
     for m in range(1, order + 1):
         order_sum = 0.0
         for cluster in enumerate_linking(ham, a, c, m):
-            piece = cmi_cluster_term(ham, cluster, a, b, c, method=method)
+            piece = cmi_cluster_term(ham, cluster, a, b, c)
             weight = cluster.multiplicity / math.factorial(m)
             acc -= weight * embed(piece, target).matrix
             order_sum += weight * piece.norm()

@@ -38,10 +38,6 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
-
-
 @dataclass(frozen=True)
 class SupportedOperator:
     """A dense matrix tagged with the sorted vertex set it acts on."""

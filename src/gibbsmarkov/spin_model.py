@@ -220,11 +220,8 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
 def _validate_power_law_tails(ham: Hamiltonian, alpha: float):
     if alpha <= 0:
         raise ValidationError("power-law exponent alpha must be positive")
-    diams = sorted({int(t.diameter) for t in ham.terms if math.isfinite(t.diameter)})
-    max_r = max(diams, default=0)
-    for v in range(ham.graph.vertex_count):
-        for big_r in range(1, max_r + 1):
-            tail = sum(t.norm for t in ham.terms if v in t.support and t.diameter >= big_r)
+    for v, rows in locality_profile(ham).items():
+        for big_r, tail in rows:
             if tail > big_r ** (-alpha) + NORM_TOL:
                 raise ValidationError(
                     f"power-law tail at vertex {v}, R={big_r}: "

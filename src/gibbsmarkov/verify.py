@@ -113,7 +113,7 @@ def suite_derivatives(seed: int) -> tuple[bool, str]:
             c = make_cluster(ham, idxs)
             if len(c.support) > 4:
                 continue
-            bt = cluster_derivative(ham, c, keep, method="beta-taylor")
+            bt = cluster_derivative(ham, c, keep)
             ref = exact_derivative(ham, c, keep)
             scale = max(float(np.max(np.abs(bt))), first_order ** m)
             diff = float(np.max(np.abs(bt - ref))) / scale

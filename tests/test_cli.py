@@ -1,8 +1,14 @@
 """Smoke tests of every CLI subcommand, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gibbsmarkov
 
 from gibbsmarkov.bounds import critical_beta
 from gibbsmarkov.cli import main
@@ -10,6 +16,7 @@ from gibbsmarkov.random_models import random_chain, tfi_chain
 from gibbsmarkov.spin_model import save_model
 
 BETA_C = critical_beta(2)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +137,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [
         ["logz", "--epsilon", "1e-30"],
         ["clusters", "--anchor", "0", "--order", "3"],
-        ["effham", "--region", "0,1", "--method", "fd", "--order", "5"],
+        ["clusters", "--anchor", "0", "--ed-limit", "3"],
+        ["effham", "--region", "0,1", "--seed", "3"],
+        ["verify", "--suite", "counting"],
     ])
     def test_refuses_flags_it_cannot_honor(self, argv, model_file, monkeypatch):
         from gibbsmarkov import expansion
@@ -142,6 +151,47 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exc:
             main(argv[:1] + ["--model", model_file] + argv[1:])
         assert exc.value.code not in (0, None)
+
+
+    @pytest.mark.parametrize("command, extra, keys", [
+        ("clusters", ["--anchor", "0"], set()),
+        ("logz", ["--order", "1"], {"ed_limit"}),
+        ("verify", ["--suite", "counting"], {"seed"}),
+    ])
+    def test_provenance_echoes_only_flags_it_reads(
+        self, command, extra, keys, model_file, tmp_path
+    ):
+        out_json = tmp_path / "out.json"
+        argv = [command] + (["--model", model_file] if command != "verify" else [])
+        main(argv + extra + ["--out", str(out_json)])
+        prov = json.loads(out_json.read_text())["provenance"]
+        assert {"method", "seed", "ed_limit"} & set(prov) == keys
+
+    @pytest.mark.parametrize("argv", [
+        ["effham", "--model", "powerlaw", "--region", "0,1"],
+        ["reduced", "--model", "powerlaw", "--region", "0,1"],
+        ["observable", "--model", "powerlaw", "--support", "2", "--pauli", "Z"],
+        ["entropy", "--model", "powerlaw", "--region", "0,1"],
+        ["logz", "--model", "malformed"],
+    ])
+    def test_model_errors_are_one_line(self, argv, tmp_path):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"vertices": "x"}')
+        paths = {
+            "powerlaw": str(MODELS / "powerlaw_chain6.json"),
+            "malformed": str(malformed),
+        }
+        argv = [paths.get(a, a) for a in argv]
+        src = str(Path(gibbsmarkov.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gibbsmarkov.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"gibbsmarkov {argv[0]}: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestModes:
@@ -168,19 +218,6 @@ class TestModes:
             line = [l for l in text.splitlines() if l.startswith("certificate")][0]
             return float(line.split()[1])
         assert cert(out_cold) < cert(out_warm)
-
-    def test_fd_method_agrees_with_default(self, capsys, model_file):
-        _, out_bt = run(capsys, [
-            "effham", "--model", model_file, "--region", "0,1", "--order", "2",
-        ])
-        _, out_fd = run(capsys, [
-            "effham", "--model", model_file, "--region", "0,1", "--order", "2",
-            "--method", "fd",
-        ])
-        def scalar(text):
-            line = [l for l in text.splitlines() if "scalar part" in l][0]
-            return float(line.split(":")[1].split("[")[0])
-        assert abs(scalar(out_bt) - scalar(out_fd)) < 1e-9
 
     def test_deterministic_output(self, capsys, model_file, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

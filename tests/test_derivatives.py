@@ -1,4 +1,4 @@
-"""Cross-checks of the two cluster-derivative methods and the exact reference.
+"""Cross-checks of the cluster derivative against two independent references.
 
 The independent oracle here differentiates G(a) = log tr_out exp(-beta sum a_j h_j)
 numerically with scipy's expm/logm, built from scratch rather than through any
@@ -8,7 +8,6 @@ construction and shares no combinatorics with ``beta-taylor``.
 """
 
 import math
-import warnings
 from itertools import product
 
 import numpy as np
@@ -17,14 +16,11 @@ from scipy.linalg import expm, logm
 
 from gibbsmarkov.clusters import make_cluster
 from gibbsmarkov.derivatives import (
-    FD_MAX_SIZE,
     cluster_derivative,
     cmi_cluster_term,
     cmi_derivative_norm_bound,
     derivative_norm_bound,
     derivative_operator,
-    dw_beta_taylor,
-    dw_finite_difference,
 )
 from gibbsmarkov.operators import embed, operator_norm
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
@@ -93,7 +89,7 @@ class TestAgainstScipyOracle:
         h2 = random_hermitian(rng, 4, 0.45)
         ham = chain_ham([((0, 1), h1), ((1, 2), h2)], 3, beta=0.31)
         c = make_cluster(ham, (term_index(ham, (0, 1)), term_index(ham, (1, 2))))
-        got = dw_beta_taylor(ham, c, (0,))
+        got = cluster_derivative(ham, c, (0,))
         ref = oracle_dw(ham, c, (0,))
         assert np.max(np.abs(got - ref)) < 1e-6
 
@@ -103,7 +99,7 @@ class TestAgainstScipyOracle:
         ham = chain_ham([((0, 1), h1), ((1, 2), h2)], 3, beta=0.2)
         i, j = term_index(ham, (0, 1)), term_index(ham, (1, 2))
         c = make_cluster(ham, (i, i, j))
-        got = dw_beta_taylor(ham, c, ())
+        got = cluster_derivative(ham, c, ())
         ref = oracle_dw(ham, c, (), step=5e-3)
         assert abs(got[0, 0] - ref[0, 0]) < 1e-5
 
@@ -111,7 +107,7 @@ class TestAgainstScipyOracle:
         h = random_hermitian(rng, 4, 0.9)
         ham = chain_ham([((0, 1), h)], 2, beta=0.5)
         c = make_cluster(ham, (0,))
-        got = dw_beta_taylor(ham, c, (0,))
+        got = cluster_derivative(ham, c, (0,))
         ref = oracle_dw(ham, c, (0,))
         assert np.max(np.abs(got - ref)) < 1e-8
 
@@ -122,7 +118,7 @@ class TestSingleElementIdentities:
         beta = 0.37
         ham = chain_ham([((0, 1), h)], 2, beta=beta)
         c = make_cluster(ham, (0,))
-        got = dw_beta_taylor(ham, c, ())
+        got = cluster_derivative(ham, c, ())
         expected = -beta * np.trace(h) / 4.0
         assert abs(got[0, 0] - expected) < 1e-12
 
@@ -131,7 +127,7 @@ class TestSingleElementIdentities:
         beta = 0.41
         ham = chain_ham([((0, 1), h)], 2, beta=beta)
         c = make_cluster(ham, (0,))
-        got = dw_beta_taylor(ham, c, (0,))
+        got = cluster_derivative(ham, c, (0,))
         hr = h.reshape(2, 2, 2, 2)
         expected = -beta * np.trace(hr, axis1=1, axis2=3) / 2.0
         assert np.max(np.abs(got - expected)) < 1e-12
@@ -141,7 +137,7 @@ class TestSingleElementIdentities:
         beta = 0.3
         ham = chain_ham([((0, 1), h)], 2, beta=beta)
         c = make_cluster(ham, (0,))
-        got = dw_beta_taylor(ham, c, (0, 1))
+        got = cluster_derivative(ham, c, (0, 1))
         assert np.max(np.abs(got - (-beta) * h)) < 1e-12
 
 
@@ -164,7 +160,7 @@ class TestMethodAgreement:
         # a kept factor at m = 4 with a repeated term: the partial-trace
         # moments do not commute on the kept site, so their ordering matters
         yield ham, make_cluster(ham, (i1, i1, i2, i3)), (1,)
-        # m = 5 and 6, past fd's limit: the exact reference is the check
+        # m = 5 and 6
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), (1,)
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), ()
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3, i3)), (1,)
@@ -177,36 +173,9 @@ class TestMethodAgreement:
 
     def test_beta_taylor_vs_exact_reference(self, rng):
         for ham, c, kept in self.cases(rng):
-            bt = dw_beta_taylor(ham, c, kept)
+            bt = cluster_derivative(ham, c, kept)
             ref = exact_derivative(ham, c, kept)
             assert np.max(np.abs(bt - ref)) / self.scale(ham, c, bt) < 1e-12
-
-    def test_beta_taylor_vs_fd(self, rng):
-        for ham, c, kept in self.cases(rng):
-            if c.size > FD_MAX_SIZE:
-                with pytest.raises(ValueError, match="at most 4 elements"):
-                    dw_finite_difference(ham, c, kept)
-                continue
-            bt = dw_beta_taylor(ham, c, kept)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fd = dw_finite_difference(ham, c, kept)
-            assert np.max(np.abs(bt - fd)) / self.scale(ham, c, bt) < 1e-3
-
-    def test_dispatch_matches_direct_calls(self, rng):
-        ham, c, kept = next(self.cases(rng))
-        for method, fn in [
-            ("beta-taylor", dw_beta_taylor),
-            ("fd", dw_finite_difference),
-        ]:
-            assert np.array_equal(
-                cluster_derivative(ham, c, kept, method=method), fn(ham, c, kept)
-            )
-
-    def test_unknown_method_rejected(self, rng):
-        ham, c, kept = next(self.cases(rng))
-        with pytest.raises(ValueError):
-            cluster_derivative(ham, c, kept, method="complex-step")
 
 
 class TestVanishing:
@@ -218,7 +187,7 @@ class TestVanishing:
             ham, (term_index(ham, (0, 1)), term_index(ham, (3, 4)))
         )
         for kept in [(), (0,), (0, 3)]:
-            assert np.max(np.abs(dw_beta_taylor(ham, c, kept))) < 1e-13
+            assert np.max(np.abs(cluster_derivative(ham, c, kept))) < 1e-13
             assert np.max(np.abs(exact_derivative(ham, c, kept))) < 1e-13
 
     def test_fully_kept_multi_element_is_zero(self, rng):
@@ -230,18 +199,8 @@ class TestVanishing:
         c = make_cluster(
             ham, (term_index(ham, (0, 1)), term_index(ham, (1, 2)))
         )
-        assert np.max(np.abs(dw_beta_taylor(ham, c, (0, 1, 2)))) < 1e-13
+        assert np.max(np.abs(cluster_derivative(ham, c, (0, 1, 2)))) < 1e-13
         assert np.max(np.abs(exact_derivative(ham, c, (0, 1, 2)))) < 1e-13
-
-    def test_fd_warns_near_cancellation_floor(self, rng):
-        h1 = random_hermitian(rng, 4, 0.7)
-        h2 = random_hermitian(rng, 4, 0.7)
-        ham = chain_ham([((0, 1), h1), ((3, 4), h2)], 5, beta=0.4)
-        c = make_cluster(
-            ham, (term_index(ham, (0, 1)), term_index(ham, (3, 4)))
-        )
-        with pytest.warns(RuntimeWarning, match="cancellation floor"):
-            dw_finite_difference(ham, c, (0,))
 
 
 class TestNormBounds:
@@ -252,7 +211,7 @@ class TestNormBounds:
         i1, i2 = term_index(ham, (0, 1)), term_index(ham, (1, 2))
         for idxs in [(i1,), (i1, i2), (i1, i1, i2)]:
             c = make_cluster(ham, idxs)
-            val = np.linalg.norm(dw_beta_taylor(ham, c, (0,)), 2)
+            val = np.linalg.norm(cluster_derivative(ham, c, (0,)), 2)
             assert val <= derivative_norm_bound(ham, c) + 1e-12
 
     def test_bound_arithmetic(self, rng):

@@ -23,7 +23,6 @@ from gibbsmarkov.operators import (
     SupportedOperator,
     expm_hermitian,
     operator_norm,
-    trace_norm,
 )
 from gibbsmarkov.random_models import random_chain, tfi_chain
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
@@ -165,7 +164,7 @@ class TestReducedState:
         exact = ed.reduced_density(st, region)
         for order in range(3):
             state, _ = reduced_state(ham, region, order)
-            td = trace_norm(state.matrix - exact.matrix)
+            td = np.linalg.norm(state.matrix - exact.matrix, "nuc")
             cert, valid = trace_distance_certificate(ham, region, order)
             assert valid
             assert td <= cert
