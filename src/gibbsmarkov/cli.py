@@ -38,10 +38,19 @@ from .operators import SupportedOperator
 from .verify import SUITES, run_suite
 
 
-def _vertex_list(text: str) -> tuple[int, ...]:
+def _vertex_list(text: str, ham) -> tuple[int, ...]:
+    """Comma-separated vertex ids, each a vertex of the model's graph."""
     if not text:
         return ()
-    return tuple(int(v) for v in text.split(","))
+    try:
+        vertices = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ModelError(f"bad vertex list {text!r}: expected comma-separated integers") from None
+    n = ham.graph.vertex_count
+    outside = [v for v in vertices if not 0 <= v < n]
+    if outside:
+        raise ModelError(f"vertex {outside[0]} in {text!r} is not in the graph (0..{n - 1})")
+    return vertices
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
@@ -72,7 +81,7 @@ def _pick_order(ham, args) -> int:
     <= n*epsilon, else the subcommand's default."""
     order = args.order
     if order is None and getattr(args, "epsilon", None) is not None:
-        region = _vertex_list(args.region)
+        region = _vertex_list(args.region, ham)
         target = args.epsilon * ham.graph.vertex_count
         for m0 in range(0, 32):
             value, valid = truncation_certificate(ham, region, m0)
@@ -114,7 +123,7 @@ def _print_provenance(block: dict) -> None:
 
 def cmd_clusters(args) -> int:
     ham = _load(args)
-    anchor = _vertex_list(args.anchor)
+    anchor = _vertex_list(args.anchor, ham)
     comp = tuple(
         v for v in range(ham.graph.vertex_count) if v not in set(anchor)
     )
@@ -133,7 +142,7 @@ def cmd_clusters(args) -> int:
 
 def cmd_effham(args) -> int:
     ham = _load(args)
-    region = _vertex_list(args.region)
+    region = _vertex_list(args.region, ham)
     order = _pick_order(ham, args)
     res = effective_hamiltonian(ham, region, order, ed_limit=args.ed_limit)
     prov = _provenance(args, ham)
@@ -192,7 +201,7 @@ def cmd_logz(args) -> int:
 
 def cmd_reduced(args) -> int:
     ham = _load(args)
-    region = _vertex_list(args.region)
+    region = _vertex_list(args.region, ham)
     order = _pick_order(ham, args)
     state, res = reduced_state(ham, region, order)
     prov = _provenance(args, ham)
@@ -213,7 +222,7 @@ def cmd_reduced(args) -> int:
 
 def cmd_observable(args) -> int:
     ham = _load(args)
-    support = _vertex_list(args.support)
+    support = _vertex_list(args.support, ham)
     from .spin_model import PAULI
 
     mat = None
@@ -235,7 +244,7 @@ def cmd_observable(args) -> int:
 
 def cmd_entropy(args) -> int:
     ham = _load(args)
-    region = _vertex_list(args.region)
+    region = _vertex_list(args.region, ham)
     order = _pick_order(ham, args)
     value, cert, valid = local_entropy(ham, region, order)
     prov = _provenance(args, ham)
@@ -250,9 +259,9 @@ def cmd_entropy(args) -> int:
 
 def cmd_cmi(args) -> int:
     ham = _load(args)
-    a = _vertex_list(args.A)
-    b = _vertex_list(args.B)
-    c = _vertex_list(args.C)
+    a = _vertex_list(args.A, ham)
+    b = _vertex_list(args.B, ham)
+    c = _vertex_list(args.C, ham)
     order = _pick_order(ham, args)
     st = None
     if ham.graph.vertex_count <= args.ed_limit:

@@ -15,110 +15,277 @@ Everything is restricted to the union of the supports: sites outside V_w
 contribute additive constants to G that vanish under any first derivative.
 
 :func:`cluster_derivative` computes it exactly, for every cluster size and
-every kept region, by extracting the multilinear coefficient from the Taylor
-series of log tr exp with two recurrences over subsets of the cluster
-elements: one for the symmetrized operator products of each subset and one
-for the ordered block products that log(I + X) sums.  An independent exact
-reference that shares no combinatorics with it lives next to the suite that
-uses it, in :func:`gibbsmarkov.verify.exact_derivative`.
+every kept region, from the Taylor series of log tr exp.  Its inputs are the
+traced moments W of the sub-multisets of w.  W depends only on the
+sub-multiset alpha and on which sites of V_alpha are kept (a site of
+V_w - V_alpha contributes an identity), so clusters that share a
+sub-multiset share its moment.  One :class:`MomentTable` per expansion call
+memoizes the symmetrized products and the moments, so every cluster and all
+four CMI regions read each of them from one place; nothing in it outlives
+the call that made it.  An independent exact reference that shares no
+combinatorics with this module lives next to the suite that uses it, in
+:func:`gibbsmarkov.verify.exact_derivative`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .operators import SupportedOperator, embed, partial_trace, scalar_operator
+from .operators import SupportedOperator, embed_matrix, trace_out
 from .spin_model import Hamiltonian
 from .clusters import Cluster, overlap_counts
 
 
-def _cluster_pieces(ham: Hamiltonian, cluster: Cluster, kept_region):
-    """Split V_w into kept and traced sites and embed each element's term."""
-    kept_set = set(kept_region)
-    support = cluster.support
-    kept = tuple(v for v in support if v in kept_set)
-    traced = tuple(v for v in support if v not in kept_set)
-    ops = [
-        embed(ham.terms[i].as_operator(ham.local_dim), support)
-        for i in cluster.term_indices
+def _times(a: np.ndarray, a_sites, b: np.ndarray, b_sites, support, d: int) -> np.ndarray:
+    """(a (x) I) (b (x) I) on ``support`` = a_sites u b_sites, as a view with
+    one axis per row qudit, then one per column qudit, each in ascending
+    order.
+
+    Only the qudits that a and b share are summed over, in one matrix
+    product: for a k-local b on n sites that costs d^(2n + k), not the
+    d^(3n) of a dense product, and no identity is ever formed.  With
+    disjoint sites it is the tensor product a (x) b."""
+    u, k = len(a_sites), len(b_sites)
+    shared = [i for i, v in enumerate(a_sites) if v in b_sites]
+    rest = [i for i, v in enumerate(a_sites) if v not in b_sites]
+    new = [i for i, v in enumerate(b_sites) if v not in a_sites]
+    # a as (rows, columns off b | columns shared); b as (rows shared | rows
+    # of its new sites, columns)
+    left = a.reshape((d,) * (2 * u)).transpose(
+        list(range(u)) + [u + i for i in rest] + [u + i for i in shared]
+    )
+    right = b.reshape((d,) * (2 * k)).transpose(
+        [b_sites.index(a_sites[i]) for i in shared] + new + list(range(k, 2 * k))
+    )
+    width = d ** len(shared)
+    out = left.reshape(-1, width) @ right.reshape(width, -1)
+    rows = {v: i for i, v in enumerate(a_sites)}
+    rows.update({b_sites[i]: u + len(rest) + j for j, i in enumerate(new)})
+    cols = {a_sites[i]: u + j for j, i in enumerate(rest)}
+    cols.update({v: u + len(rest) + len(new) + i for i, v in enumerate(b_sites)})
+    axes = [rows[v] for v in support] + [cols[v] for v in support]
+    return out.reshape((d,) * (2 * len(support))).transpose(axes)
+
+
+def _traced_times(a: np.ndarray, a_sites, b: np.ndarray, b_sites, kept, d: int) -> np.ndarray:
+    """tr_out[(a (x) I) (b (x) I)] on the sorted sites ``kept``, tracing the
+    other sites of a_sites u b_sites, without forming the product: one
+    contraction over d^(n + |shared| + |kept|) index values on n sites."""
+    label = iter(range(3 * (len(a_sites) + len(b_sites))))
+    row = {v: next(label) for v in sorted(set(a_sites) | set(b_sites))}
+    col = {v: next(label) if v in kept else row[v] for v in row}
+    mid = {v: next(label) for v in a_sites if v in b_sites}
+    a_labels = [row[v] for v in a_sites] + [mid.get(v, col[v]) for v in a_sites]
+    b_labels = [mid.get(v, row[v]) for v in b_sites] + [col[v] for v in b_sites]
+    out = np.einsum(
+        a.reshape((d,) * (2 * len(a_sites))), a_labels,
+        b.reshape((d,) * (2 * len(b_sites))), b_labels,
+        [row[v] for v in kept] + [col[v] for v in kept],
+    )
+    return out.reshape(d ** len(kept), -1)
+
+
+class MomentTable:
+    """Symmetrized products and traced moments of sub-multisets of terms,
+    memoized for the cluster derivatives of one expansion call.
+
+    A sub-multiset alpha is keyed by its sorted tuple of term indices.  Its
+    product, on V_alpha, is the sum over all orderings of its elements,
+
+        P(empty) = I,   P(alpha) = sum_j alpha_j P(alpha - e_j) h_j,
+
+    with j over the distinct terms of alpha and alpha_j their counts.  Its
+    traced moment on a kept set K is
+
+        W(alpha, K) = (-beta)^|alpha| / |alpha|! * tr_{V_alpha - K} P(alpha) / d^|V_alpha - K|,
+
+    tensored with the identity on the sites of K outside V_alpha.  W is
+    contracted from the P(alpha - e_j) and h_j directly, so P(alpha) is only
+    formed when a larger product asks for it: never at the top order.
+
+    When the supports of alpha fall apart into components alpha_1 ... alpha_c
+    (each connected), their terms commute across components, so
+    P(alpha) = |alpha|! / prod |alpha_i|! * (x)_i P(alpha_i) and
+    W(alpha, K) = prod_i W(alpha_i, K).  Only connected products are kept: a
+    disconnected one is formed from its components when a larger product
+    asks for it.  Every entry is a function of its key alone, so a shared
+    table and a private one give bitwise equal derivatives.
+    """
+
+    def __init__(self, ham: Hamiltonian):
+        self.ham = ham
+        self._products: dict = {}
+        self._moments: dict = {}
+
+    def _support(self, alpha) -> tuple[int, ...]:
+        return tuple(sorted(set().union(*(self.ham.terms[i].support for i in alpha))))
+
+    def _components(self, alpha) -> list[tuple[int, ...]]:
+        """The connected components of alpha, sorted."""
+        parts: list = []  # (sites, elements), pairwise disjoint in sites
+        for i in alpha:
+            sites, elements = set(self.ham.terms[i].support), [i]
+            apart = []
+            for part in parts:
+                if part[0] & sites:
+                    sites |= part[0]
+                    elements = part[1] + elements
+                else:
+                    apart.append(part)
+            parts = apart + [(sites, elements)]
+        return sorted(tuple(sorted(elements)) for _, elements in parts)
+
+    def _steps(self, alpha):
+        """(count, V, P(alpha - e_j), h_j) for each distinct term j of alpha."""
+        terms = self.ham.terms
+        for pos, i in enumerate(alpha):
+            if pos == 0 or alpha[pos - 1] != i:
+                yield (alpha.count(i), *self._product(alpha[:pos] + alpha[pos + 1:]), terms[i])
+
+    def _product(self, alpha) -> tuple[tuple[int, ...], np.ndarray]:
+        """(V_alpha, P(alpha)) for a nonempty alpha."""
+        hit = self._products.get(alpha)
+        if hit is not None:
+            return hit
+        d = self.ham.local_dim
+        support = self._support(alpha)
+        parts = self._components(alpha)
+        if len(parts) > 1:
+            sites, prod = self._product(parts[0])
+            for part in parts[1:]:
+                part_sites, part_prod = self._product(part)
+                joint = tuple(sorted(sites + part_sites))
+                prod = _times(prod, sites, part_prod, part_sites, joint, d).reshape(
+                    d ** len(joint), -1
+                )
+                sites = joint
+            count = math.factorial(len(alpha))
+            for part in parts:
+                count //= math.factorial(len(part))
+            return support, count * prod
+        if len(alpha) == 1:
+            hit = support, self.ham.terms[alpha[0]].matrix
+        else:
+            prod = np.zeros((d,) * (2 * len(support)), dtype=complex)
+            for count, sites, rest, term in self._steps(alpha):
+                step = _times(rest, sites, term.matrix, term.support, support, d)
+                prod += count * step if count > 1 else step
+            hit = support, prod.reshape(d ** len(support), -1)
+        self._products[alpha] = hit
+        return hit
+
+    def moment(self, alpha, kept) -> np.ndarray:
+        """W(alpha, kept) on the sorted site tuple ``kept``, which must hold
+        every kept site of V_alpha."""
+        key = alpha, kept
+        hit = self._moments.get(key)
+        if hit is not None:
+            return hit
+        d, m = self.ham.local_dim, len(alpha)
+        parts = self._components(alpha)
+        support = self._support(alpha)
+        own = tuple(v for v in kept if v in support)
+        if len(parts) > 1:
+            # commuting pieces on disjoint sites: their product is exact
+            hit = functools.reduce(np.matmul, [self.moment(p, kept) for p in parts])
+        elif own != kept:
+            base = self.moment(alpha, own)
+            hit = embed_matrix(base, [kept.index(v) for v in own], len(kept), d)
+        else:
+            coeff = (-self.ham.beta) ** m / math.factorial(m) / d ** (len(support) - len(own))
+            if m == 1:
+                keep = [support.index(v) for v in own]
+                traced = trace_out(self.ham.terms[alpha[0]].matrix, keep, len(support), d)
+            else:
+                traced = 0
+                for count, sites, rest, term in self._steps(alpha):
+                    traced = traced + count * _traced_times(
+                        rest, sites, term.matrix, term.support, own, d
+                    )
+            hit = coeff * traced
+        self._moments[key] = hit
+        return hit
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_layout(m: int):
+    """The 2^m subsets of m elements in order of size, so that the empty set
+    is first and the full set last: the element positions of each, the index
+    arrays (s, t, b) of the pairs with t a proper subset of s and b = s - t,
+    and the index of the first subset of each size 0..m."""
+    masks = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
+    index = {x: i for i, x in enumerate(masks)}
+    members = tuple(tuple(j for j in range(m) if x >> j & 1) for x in masks)
+    pairs = [
+        (index[x], index[y], index[x ^ y]) for x in masks for y in masks if y & ~x == 0 and y != x
     ]
-    return kept, traced, ops
+    s, t, b = (np.array(column) for column in zip(*pairs))
+    for shared in (s, t, b):
+        shared.setflags(write=False)
+    sizes = [x.bit_count() for x in masks]
+    return members, s, t, b, tuple(sizes.index(q) for q in range(m + 1))
 
 
-def cluster_derivative(ham: Hamiltonian, cluster: Cluster, kept_region) -> np.ndarray:
+def cluster_derivative(
+    ham: Hamiltonian, cluster: Cluster, kept_region, moments: MomentTable | None = None
+) -> np.ndarray:
     """Mixed first derivative D_w G restricted to the kept sites in V_w,
     exact via the Taylor series of log tr exp.
 
     Returns a matrix on kept_region intersect V_w (1x1 when that is empty).
+    ``moments`` is the table of the expansion call this cluster belongs to;
+    without one, a private table is made, and the result is bitwise the same.
 
-    Index subsets of the m cluster elements by bitmasks.  The multilinear
-    coefficient of prod_{j in S} a_j in tr_traced exp(-beta sum a_j h_j) / d_traced
-    is W_S = (-beta)^{|S|} / |S|! * tr_traced P(S) / d_traced, where P(S) is
-    the sum of the products of the h_j, j in S, over all orderings of S:
-
-        P(empty) = I,   P(S) = sum_{j in S} P(S - j) h_j,
-
-    built one popcount level at a time from the level below.  Composing with
+    Let B run over the subsets of the m cluster elements.  The multilinear
+    coefficient of prod_{j in B} a_j in tr_traced exp(-beta sum a_j h_j) / d_traced
+    is the moment W_B of the sub-multiset that B selects, read from the
+    table (see :class:`MomentTable`).  Composing with
     log(I + X) = sum_q (-1)^(q-1) X^q / q, the coefficient of X^q is the sum
-    over ordered partitions of S into q blocks, first block on the left:
+    over ordered partitions of the elements into q nonempty blocks, first
+    block on the left.  That is the (full, empty) block of M^q for the
+    block-nilpotent matrix with M[S, S - B] = W_B for nonempty B in S, so
 
-        F_0(empty) = I,   F_q(S) = sum_{nonempty B subset S} W_B F_{q-1}(S - B),
+        D_w G = sum_{q=1..m} (-1)^(q-1) / q * (M^q)[full, empty],
 
-    and D_w G = sum_q (-1)^(q-1) / q * F_q(all).  The products cost
-    O(m 2^m) operator multiplications on V_w, the F_q O(m 3^m) on the kept
-    sites.
+    taken as m products of M, of size 2^m d^|kept|, with one block column.
+
+    When nothing is traced, G = -beta sum_j a_j h_j is linear, so D_w G is
+    -beta h_j at m = 1 and zero at m >= 2; no moment is formed.
     """
     d, m = ham.local_dim, cluster.size
-    kept, traced, ops = _cluster_pieces(ham, cluster, kept_region)
-    full = (1 << m) - 1
-    weights = [None] * (full + 1)
-    level = {0: np.eye(ops[0].matrix.shape[0], dtype=complex)}
-    for size in range(1, m + 1):
-        level = {
-            s: sum(level[s ^ 1 << j] @ ops[j].matrix for j in range(m) if s >> j & 1)
-            for s in range(1, full + 1)
-            if s.bit_count() == size
-        }
-        coeff = (-ham.beta) ** size / math.factorial(size) / d ** len(traced)
-        for s, prod in level.items():
-            if kept:
-                prod = partial_trace(
-                    SupportedOperator(cluster.support, prod, local_dim=d), kept
-                ).matrix
-            else:
-                prod = np.array([[np.trace(prod)]])
-            weights[s] = coeff * prod
-
+    kept_set = set(kept_region)
+    kept = tuple(v for v in cluster.support if v in kept_set)
     dim = d ** len(kept)
-    f = [np.eye(dim, dtype=complex)] + [None] * full
+    if len(kept) == len(cluster.support):
+        if m == 1:
+            return -ham.beta * ham.terms[cluster.term_indices[0]].matrix
+        return np.zeros((dim, dim), dtype=complex)
+    if moments is None:
+        moments = MomentTable(ham)
+    members, s, t, b, starts = _subset_layout(m)
+    n, idx = 1 << m, cluster.term_indices
+    weights = np.empty((n, dim, dim), dtype=complex)
+    weights[1:] = [moments.moment(tuple(map(idx.__getitem__, e)), kept) for e in members[1:]]
+    block = np.zeros((n, dim, n, dim), dtype=complex)
+    block[s, :, t, :] = weights[b]
+    block = block.reshape(n * dim, n * dim)
+    # column q lives on the subsets of at least q elements, which the size
+    # ordering puts last, so each product skips the rows and columns it
+    # would only multiply by zero
+    column = np.zeros((n * dim, dim), dtype=complex)
+    column[:dim] = np.eye(dim)
     total = np.zeros((dim, dim), dtype=complex)
     for q in range(1, m + 1):
-        nxt = [None] * (full + 1)
-        for s in range(1, full + 1):
-            b = s
-            while b:
-                if f[s ^ b] is not None:
-                    term = weights[b] @ f[s ^ b]
-                    nxt[s] = term if nxt[s] is None else nxt[s] + term
-                b = (b - 1) & s
-        f = nxt
-        total += ((-1.0) ** (q - 1) / q) * f[full]
+        column = block[starts[q] * dim:, starts[q - 1] * dim:] @ column
+        total += ((-1.0) ** (q - 1) / q) * column[-dim:]
     return total
 
 
 # ---------------------------------------------------------------------------
-# wrapped derivatives and norm bounds
-
-
-def derivative_operator(ham: Hamiltonian, cluster: Cluster, kept_region) -> SupportedOperator:
-    """Same as :func:`cluster_derivative` but wrapped with its support."""
-    kept = tuple(v for v in cluster.support if v in set(kept_region))
-    mat = cluster_derivative(ham, cluster, kept_region)
-    if not kept:
-        return scalar_operator(complex(mat[0, 0]), (), local_dim=ham.local_dim)
-    return SupportedOperator(kept, mat, local_dim=ham.local_dim)
+# norm bounds and the CMI combination
 
 
 def derivative_norm_bound(ham: Hamiltonian, cluster: Cluster) -> float:
@@ -147,31 +314,32 @@ def cmi_cluster_term(
     a_region,
     b_region,
     c_region,
+    moments: MomentTable | None = None,
 ) -> SupportedOperator:
     """Four-region combination of cluster derivatives,
 
         D_w[ G_AB + G_BC - G_ABC - G_B ],
 
     each piece kept on the respective region, embedded on
-    (A u B u C) intersect V_w and summed with signs."""
-    regions = {
-        "ab": tuple(a_region) + tuple(b_region),
-        "bc": tuple(b_region) + tuple(c_region),
-        "abc": tuple(a_region) + tuple(b_region) + tuple(c_region),
-        "b": tuple(b_region),
-    }
-    signs = {"ab": 1.0, "bc": 1.0, "abc": -1.0, "b": -1.0}
-    target = tuple(
-        v for v in cluster.support if v in set(regions["abc"])
+    (A u B u C) intersect V_w and summed with signs.  The four pieces read
+    one moment table: ``moments`` when given, else a private one."""
+    regions = (
+        (tuple(a_region) + tuple(b_region), 1.0),
+        (tuple(b_region) + tuple(c_region), 1.0),
+        (tuple(a_region) + tuple(b_region) + tuple(c_region), -1.0),
+        (tuple(b_region), -1.0),
     )
+    abc = set(regions[2][0])
+    target = tuple(v for v in cluster.support if v in abc)
     if not target:
         raise ValueError("cluster does not intersect A u B u C")
-    dim = ham.local_dim ** len(target)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for key, region in regions.items():
-        op = derivative_operator(ham, cluster, region)
-        if op.support:
-            acc += signs[key] * embed(op, target).matrix
-        else:
-            acc += signs[key] * complex(op.matrix[0, 0]) * np.eye(dim)
-    return SupportedOperator(target, acc, local_dim=ham.local_dim)
+    if moments is None:
+        moments = MomentTable(ham)
+    d = ham.local_dim
+    acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)
+    for region, sign in regions:
+        mat = cluster_derivative(ham, cluster, region, moments=moments)
+        rset = set(region)
+        positions = [p for p, v in enumerate(target) if v in rset]
+        acc += sign * embed_matrix(mat, positions, len(target), d)
+    return SupportedOperator(target, acc, local_dim=d)

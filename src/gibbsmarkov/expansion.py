@@ -29,7 +29,7 @@ from .clusters import (
     enumerate_connected_to_region,
     enumerate_linking,
 )
-from .derivatives import cluster_derivative, cmi_cluster_term
+from .derivatives import MomentTable, cluster_derivative, cmi_cluster_term
 from .bounds import critical_beta, surface_region
 from . import ed
 
@@ -124,9 +124,10 @@ def _scalar_series(ham: Hamiltonian, region, order: int) -> float:
     """log tr e^{-beta H_region} via the cluster series on the region."""
     sub = set(map(int, region))
     value = len(sub) * math.log(ham.local_dim)
+    moments = MomentTable(ham)
     for m in range(1, order + 1):
         for cluster in enumerate_connected(ham, m, within=sub):
-            sigma = cluster_derivative(ham, cluster, ())
+            sigma = cluster_derivative(ham, cluster, (), moments=moments)
             weight = cluster.multiplicity / math.factorial(m)
             value += weight * float(sigma[0, 0].real)
     return value
@@ -161,12 +162,13 @@ def effective_hamiltonian(
     )
 
     boundary: dict = {}
+    moments = MomentTable(ham)
     for m in range(1, order + 1):
         entries = []
         for cluster in enumerate_connected_to_region(ham, region, m):
             if not (set(cluster.support) & set(comp)):
                 continue  # interior clusters are exactly the bare terms
-            dmat = cluster_derivative(ham, cluster, region)
+            dmat = cluster_derivative(ham, cluster, region, moments=moments)
             kept = tuple(v for v in cluster.support if v in rset)
             coeff = -1.0 / (ham.beta * math.factorial(m))
             if kept:
@@ -345,10 +347,11 @@ def cmi_expansion(
     acc = np.zeros((dim, dim), dtype=complex)
     per_order: dict = {}
     norm_acc = 0.0
+    moments = MomentTable(ham)
     for m in range(1, order + 1):
         order_sum = 0.0
         for cluster in enumerate_linking(ham, a, c, m):
-            piece = cmi_cluster_term(ham, cluster, a, b, c)
+            piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
             weight = cluster.multiplicity / math.factorial(m)
             acc -= weight * embed(piece, target).matrix
             order_sum += weight * piece.norm()

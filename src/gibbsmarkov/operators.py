@@ -80,11 +80,6 @@ def identity(support, local_dim: int = 2) -> SupportedOperator:
     return SupportedOperator(support, np.eye(dim, dtype=complex), local_dim)
 
 
-def scalar_operator(value: complex, support, local_dim: int = 2) -> SupportedOperator:
-    ident = identity(support, local_dim)
-    return SupportedOperator(ident.support, value * ident.matrix, local_dim)
-
-
 def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray:
     """Embed ``mat`` (acting on the qudits listed in ``positions``, in that
     order) into an ``n_sites``-qudit space, identity elsewhere.
@@ -95,7 +90,10 @@ def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray
     positions = list(positions)
     k = len(positions)
     rest = [p for p in range(n_sites) if p not in positions]
-    full = np.kron(mat, np.eye(d ** len(rest), dtype=complex))
+    dk, dr = d ** k, d ** len(rest)
+    # the Kronecker product mat (x) I, without np.kron's overhead
+    full = (mat.reshape(dk, 1, dk, 1) * np.eye(dr, dtype=complex).reshape(1, dr, 1, dr))
+    full = full.reshape(dk * dr, dk * dr)
     order = positions + rest  # axis j of `full` lives at target site order[j]
     if order == list(range(n_sites)):
         return full
@@ -118,38 +116,44 @@ def embed(a: SupportedOperator, target_support) -> SupportedOperator:
     return SupportedOperator(target, mat, a.local_dim)
 
 
+def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
+    """Trace ``mat`` (on ``n_sites`` qudits) over every qudit whose position
+    is not in ``keep``; the result acts on the kept qudits in ascending order
+    (1x1 when none is kept)."""
+    keep = set(keep)
+    if len(keep) == n_sites:
+        return mat
+    letters = string.ascii_letters
+    if 2 * n_sites > len(letters):
+        raise OperatorError("support too large for partial trace")
+    it = iter(letters)
+    row, col, out_row, out_col = [], [], [], []
+    for p in range(n_sites):
+        r = next(it)
+        row.append(r)
+        if p in keep:
+            c = next(it)
+            col.append(c)
+            out_row.append(r)
+            out_col.append(c)
+        else:
+            col.append(r)
+    sub = "".join(row + col) + "->" + "".join(out_row + out_col)
+    dim = d ** len(keep)
+    return np.einsum(sub, mat.reshape([d] * (2 * n_sites))).reshape(dim, dim)
+
+
 def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:
     """Trace out ``a.support \\ keep``; the result acts on ``a.support & keep``.
 
     The full trace is preserved: tr(result) == tr(a).
     """
     keep_set = set(int(v) for v in keep)
-    kept = tuple(v for v in a.support if v in keep_set)
-    if kept == a.support:
+    positions = [p for p, v in enumerate(a.support) if v in keep_set]
+    if len(positions) == len(a.support):
         return a
-    n = len(a.support)
-    d = a.local_dim
-    letters = string.ascii_letters
-    if 2 * n > len(letters):
-        raise OperatorError("support too large for partial trace")
-    it = iter(letters)
-    row, col, out_row, out_col = [], [], [], []
-    for v in a.support:
-        if v in keep_set:
-            r, c = next(it), next(it)
-            row.append(r)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            r = next(it)
-            row.append(r)
-            col.append(r)
-    sub = "".join(row + col) + "->" + "".join(out_row + out_col)
-    t = a.matrix.reshape([d] * (2 * n))
-    dim = d ** len(kept)
-    mat = np.einsum(sub, t).reshape(dim, dim)
-    return SupportedOperator(kept, mat, d)
+    mat = trace_out(a.matrix, positions, len(a.support), a.local_dim)
+    return SupportedOperator(tuple(a.support[p] for p in positions), mat, a.local_dim)
 
 
 def expm_hermitian(a: SupportedOperator, scale: float = 1.0) -> SupportedOperator:

@@ -220,6 +220,14 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
 def _validate_power_law_tails(ham: Hamiltonian, alpha: float):
     if alpha <= 0:
         raise ValidationError("power-law exponent alpha must be positive")
+    # the profile stops at the largest finite diameter; a term of infinite
+    # diameter stays in the tail at every R while R^-alpha falls to zero
+    for t in ham.terms:
+        if not math.isfinite(t.diameter) and t.norm > NORM_TOL:
+            raise ValidationError(
+                f"term on {t.support} (norm {t.norm:.6g}) joins disconnected vertices: "
+                "its tail exceeds R^-alpha at large R"
+            )
     for v, rows in locality_profile(ham).items():
         for big_r, tail in rows:
             if tail > big_r ** (-alpha) + NORM_TOL:
@@ -301,11 +309,13 @@ def _term_matrix(entry, support, local_dim: int) -> np.ndarray:
 
 
 def load_model(path, rescale: bool = False) -> Hamiltonian:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"cannot parse {path}: {exc}") from exc
+    except OSError as exc:
+        raise ModelError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"cannot parse {path}: {exc}") from exc
     for key in ("local_dim", "vertices", "edges", "interaction_class", "beta", "terms"):
         if key not in data:
             raise ModelError(f"model file missing key {key!r}")

@@ -173,13 +173,18 @@ class TestSubcommands:
         ["observable", "--model", "powerlaw", "--support", "2", "--pauli", "Z"],
         ["entropy", "--model", "powerlaw", "--region", "0,1"],
         ["logz", "--model", "malformed"],
+        ["effham", "--model", "tfi", "--region", "0,x"],
+        ["effham", "--model", "tfi", "--region", "0,9"],
+        ["effham", "--model", "missing", "--region", "0"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"
         malformed.write_text('{"vertices": "x"}')
         paths = {
             "powerlaw": str(MODELS / "powerlaw_chain6.json"),
+            "tfi": str(MODELS / "tfi_chain6.json"),
             "malformed": str(malformed),
+            "missing": str(tmp_path / "nope.json"),
         }
         argv = [paths.get(a, a) for a in argv]
         src = str(Path(gibbsmarkov.__file__).resolve().parent.parent)

@@ -16,13 +16,14 @@ from scipy.linalg import expm, logm
 
 from gibbsmarkov.clusters import make_cluster
 from gibbsmarkov.derivatives import (
+    MomentTable,
     cluster_derivative,
     cmi_cluster_term,
     cmi_derivative_norm_bound,
     derivative_norm_bound,
-    derivative_operator,
 )
-from gibbsmarkov.operators import embed, operator_norm
+from gibbsmarkov.expansion import effective_hamiltonian
+from gibbsmarkov.operators import embed, embed_matrix, operator_norm
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
 from gibbsmarkov import verify
 from gibbsmarkov.verify import exact_derivative, run_suite
@@ -177,6 +178,35 @@ class TestMethodAgreement:
             ref = exact_derivative(ham, c, kept)
             assert np.max(np.abs(bt - ref)) / self.scale(ham, c, bt) < 1e-12
 
+    def test_shared_table_is_bitwise_equal_to_private(self, rng):
+        # one table for every case and every kept region of the model; the
+        # cases are visited twice, so the second pass reads cached entries
+        cases = list(self.cases(rng))
+        table = MomentTable(cases[0][0])
+        for _ in range(2):
+            for ham, c, kept in cases:
+                shared = cluster_derivative(ham, c, kept, moments=table)
+                private = cluster_derivative(ham, c, kept)
+                assert np.array_equal(shared, private)
+                ref = exact_derivative(ham, c, kept)
+                assert np.max(np.abs(shared - ref)) / self.scale(ham, c, shared) < 1e-12
+
+    def test_no_table_outlives_its_call(self, rng):
+        # same term layout, different couplings: a cache keyed by term
+        # indices that survived one call would leak into the next
+        h1, h2 = random_hermitian(rng, 4, 0.45), random_hermitian(rng, 4, 0.35)
+        first = chain_ham([((0, 1), h1), ((1, 2), h2), ((2, 3), h1)], 4, beta=0.25)
+        second = chain_ham([((0, 1), h2), ((1, 2), h1), ((2, 3), h2)], 4, beta=0.3)
+        alone = effective_hamiltonian(second, (1,), 4)
+        for ham in (first, second):
+            res = effective_hamiltonian(ham, (1,), 4)
+            for m, entries in res.boundary_terms.items():
+                for c, op in entries:
+                    dw = -ham.beta * math.factorial(m) * op.matrix
+                    ref = exact_derivative(ham, c, (1,))
+                    assert np.max(np.abs(dw - ref)) / self.scale(ham, c, dw) < 1e-12
+        assert np.array_equal(res.boundary_operator().matrix, alone.boundary_operator().matrix)
+
 
 class TestVanishing:
     def test_disconnected_pair_is_zero(self, rng):
@@ -201,6 +231,29 @@ class TestVanishing:
         )
         assert np.max(np.abs(cluster_derivative(ham, c, (0, 1, 2)))) < 1e-13
         assert np.max(np.abs(exact_derivative(ham, c, (0, 1, 2)))) < 1e-13
+
+    def test_nothing_traced_is_closed_form(self, rng):
+        # kept covers V_w: exactly -beta h_j at m = 1, exactly 0 at m >= 2
+        h1 = random_hermitian(rng, 4, 0.45)
+        h2 = random_hermitian(rng, 4, 0.35)
+        h3 = random_hermitian(rng, 2, 0.2)
+        ham = chain_ham([((0, 1), h1), ((1, 2), h2), ((2,), h3)], 3, beta=0.25)
+        i1, i2, i3 = (term_index(ham, s) for s in [(0, 1), (1, 2), (2,)])
+        scale = ham.beta * max(t.norm for t in ham.terms)
+        for idxs, kept in [
+            ((i1,), (0, 1)), ((i3,), (0, 1, 2)), ((i1, i2), (0, 1, 2)),
+            ((i1, i1, i3), (0, 1, 2)), ((i1, i2, i2, i3), (0, 1, 2)),
+            ((i1, i1, i2, i2, i3), (0, 1, 2)),
+        ]:
+            c = make_cluster(ham, idxs)
+            got = cluster_derivative(ham, c, kept)
+            if c.size == 1:
+                expected = -ham.beta * ham.terms[idxs[0]].matrix
+            else:
+                expected = np.zeros_like(got)
+            assert np.array_equal(got, expected)
+            ref = exact_derivative(ham, c, kept)
+            assert np.max(np.abs(got - ref)) / max(np.max(np.abs(got)), scale ** c.size) < 1e-12
 
 
 class TestNormBounds:
@@ -239,11 +292,9 @@ class TestCmiCombination:
         target = combo.support
         acc = np.zeros_like(combo.matrix)
         for region, sign in [((0, 1), 1), ((1, 2), 1), ((0, 1, 2), -1), ((1,), -1)]:
-            op = derivative_operator(ham, c, region)
-            if op.support:
-                acc += sign * embed(op, target).matrix
-            else:
-                acc += sign * complex(op.matrix[0, 0]) * np.eye(acc.shape[0])
+            piece = cluster_derivative(ham, c, region)
+            positions = [p for p, v in enumerate(target) if v in region]
+            acc += sign * embed_matrix(piece, positions, len(target), ham.local_dim)
         assert np.max(np.abs(combo.matrix - acc)) < 1e-13
 
     def test_norm_bound_holds(self, rng):

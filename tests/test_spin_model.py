@@ -132,6 +132,15 @@ class TestPowerLawTails:
         with pytest.raises(ValidationError):
             build_hamiltonian(g, terms, PowerLaw(alpha), beta=1e-4)
 
+    def test_infinite_diameter_term_rejected(self):
+        # (0, 2) joins two components: its diameter is infinite, so it sits
+        # in the tail at every R, while R^-alpha falls to zero
+        g = build_graph(4, [(0, 1), (2, 3)])
+        terms = [((0, 1), 0.1 * ZZ), ((2, 3), 0.1 * ZZ), ((0, 2), 0.01 * ZZ)]
+        with pytest.raises(ValidationError, match=r"\(0, 2\)"):
+            build_hamiltonian(g, terms, PowerLaw(2.0), beta=1e-4)
+        build_hamiltonian(g, terms[:2], PowerLaw(2.0), beta=1e-4)
+
 
 class TestLocalityProfile:
     def test_nearest_neighbor_chain_vanishes_beyond_range(self):
