@@ -9,6 +9,8 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
@@ -33,8 +35,8 @@ from .expansion import (
     reduced_state,
     truncation_certificate,
 )
-from .spin_model import FiniteRange, ModelError, load_model
-from .operators import SupportedOperator
+from .spin_model import PAULI, FiniteRange, ModelError, load_model
+from .operators import OperatorError, SupportedOperator
 from .verify import SUITES, run_suite
 
 
@@ -80,6 +82,8 @@ def _pick_order(ham, args) -> int:
     """--order, else the smallest order whose certificate on --region is
     <= n*epsilon, else the subcommand's default."""
     order = args.order
+    if order is not None and order < 0:
+        raise ModelError(f"--order must be >= 0, got {order}")
     if order is None and getattr(args, "epsilon", None) is not None:
         region = _vertex_list(args.region, ham)
         target = args.epsilon * ham.graph.vertex_count
@@ -223,13 +227,14 @@ def cmd_reduced(args) -> int:
 def cmd_observable(args) -> int:
     ham = _load(args)
     support = _vertex_list(args.support, ham)
-    from .spin_model import PAULI
-
-    mat = None
-    for ch in args.pauli:
-        p = PAULI[ch.upper()]
-        mat = p if mat is None else np.kron(mat, p)
-    obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
+    letters = args.pauli.upper()
+    if not letters or set(letters) - set(PAULI):
+        raise ModelError(f"bad Pauli string {args.pauli!r}: expected letters from I, X, Y, Z")
+    mat = functools.reduce(np.kron, [PAULI[ch] for ch in letters])
+    try:
+        obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
+    except OperatorError as exc:
+        raise ModelError(f"--pauli {args.pauli!r} on --support {args.support!r}: {exc}") from None
     order = _pick_order(ham, args)
     value, cert, valid = local_observable(ham, obs, order, pad=args.pad)
     prov = _provenance(args, ham)
@@ -262,6 +267,11 @@ def cmd_cmi(args) -> int:
     a = _vertex_list(args.A, ham)
     b = _vertex_list(args.B, ham)
     c = _vertex_list(args.C, ham)
+    named = ((a, "--A"), (b, "--B"), (c, "--C"))
+    for (x, x_flag), (y, y_flag) in itertools.combinations(named, 2):
+        shared = sorted(set(x) & set(y))
+        if shared:
+            raise ModelError(f"regions must be disjoint: vertex {shared[0]} is in {x_flag} and {y_flag}")
     order = _pick_order(ham, args)
     st = None
     if ham.graph.vertex_count <= args.ed_limit:

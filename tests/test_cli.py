@@ -176,6 +176,15 @@ class TestSubcommands:
         ["effham", "--model", "tfi", "--region", "0,x"],
         ["effham", "--model", "tfi", "--region", "0,9"],
         ["effham", "--model", "missing", "--region", "0"],
+        ["cmi", "--model", "tfi", "--A", "0,1", "--B", "2", "--C", "1,3"],
+        ["observable", "--model", "tfi", "--support", "2", "--pauli", "Q"],
+        ["observable", "--model", "tfi", "--support", "2,3", "--pauli", "Z"],
+        ["logz", "--model", "tfi", "--order", "-1"],
+        ["cmi", "--model", "tfi", "--A", "0", "--B", "1", "--C", "2", "--order", "-1"],
+        ["effham", "--model", "tfi", "--region", "0", "--order", "-1"],
+        ["reduced", "--model", "tfi", "--region", "0", "--order", "-1"],
+        ["observable", "--model", "tfi", "--support", "2", "--pauli", "Z", "--order", "-1"],
+        ["entropy", "--model", "tfi", "--region", "0", "--order", "-1"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"

@@ -7,8 +7,9 @@ of the library's own weight helpers.  The exact reference
 construction and shares no combinatorics with ``beta-taylor``.
 """
 
+import functools
 import math
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -165,6 +166,11 @@ class TestMethodAgreement:
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), (1,)
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), ()
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3, i3)), (1,)
+        # nothing kept (the set-partition log step) at every m from 1 to 6
+        yield ham, make_cluster(ham, (i2,)), ()
+        yield ham, make_cluster(ham, (i1, i2, i3)), ()
+        yield ham, make_cluster(ham, (i1, i1, i2, i3)), ()
+        yield ham, make_cluster(ham, (i1, i1, i2, i2, i3, i3)), ()
 
     @staticmethod
     def scale(ham, c, bt):
@@ -206,6 +212,34 @@ class TestMethodAgreement:
                     ref = exact_derivative(ham, c, (1,))
                     assert np.max(np.abs(dw - ref)) / self.scale(ham, c, dw) < 1e-12
         assert np.array_equal(res.boundary_operator().matrix, alone.boundary_operator().matrix)
+
+
+class TestScalarMoment:
+    def test_one_contraction_matches_sum_over_orderings(self, rng):
+        # tr P(alpha) = m tr(P(alpha - e) h_e) by cyclicity; check it against
+        # the plain sum over all m! orderings on every sub-multiset of a
+        # 4-element cluster with a repeated term
+        ham = next(TestMethodAgreement().cases(rng))[0]
+        i1, i2, i3 = (term_index(ham, s) for s in [(0, 1), (1, 2), (2,)])
+        cluster = (i1, i1, i2, i3)
+        d = ham.local_dim
+        subs = {
+            tuple(sorted(sub))
+            for r in range(1, len(cluster) + 1)
+            for sub in combinations(cluster, r)
+        }
+        for alpha in sorted(subs):
+            support = tuple(sorted(set().union(*(ham.terms[i].support for i in alpha))))
+            mats = [embed(ham.terms[i].as_operator(d), support).matrix for i in alpha]
+            total = sum(
+                np.trace(functools.reduce(np.matmul, order))
+                for order in permutations(mats)
+            )
+            m = len(alpha)
+            expected = (-ham.beta) ** m / math.factorial(m) * total / d ** len(support)
+            got = MomentTable(ham).moment(alpha, ())
+            assert got.shape == (1, 1)
+            assert abs(got[0, 0] - expected) <= 1e-14 * abs(expected)
 
 
 class TestVanishing:
