@@ -84,16 +84,19 @@ def _pick_order(ham, args) -> int:
     order = args.order
     if order is not None and order < 0:
         raise ModelError(f"--order must be >= 0, got {order}")
-    if order is None and getattr(args, "epsilon", None) is not None:
+    epsilon = getattr(args, "epsilon", None)
+    if epsilon is not None and not epsilon > 0:
+        raise ModelError(f"--epsilon must be > 0, got {epsilon}")
+    if order is None and epsilon is not None:
         region = _vertex_list(args.region, ham)
-        target = args.epsilon * ham.graph.vertex_count
+        target = epsilon * ham.graph.vertex_count
         for m0 in range(0, 32):
             value, valid = truncation_certificate(ham, region, m0)
             if valid and value <= target:
                 order = m0
                 break
         else:
-            raise SystemExit("no order up to 31 meets the epsilon target")
+            raise ModelError(f"no order up to 31 meets --epsilon {epsilon}")
     if order is None:
         order = DEFAULT_ORDER[args.command]
     return order
@@ -127,6 +130,8 @@ def _print_provenance(block: dict) -> None:
 
 def cmd_clusters(args) -> int:
     ham = _load(args)
+    if args.max_order < 0:
+        raise ModelError(f"--max-order must be >= 0, got {args.max_order}")
     anchor = _vertex_list(args.anchor, ham)
     comp = tuple(
         v for v in range(ham.graph.vertex_count) if v not in set(anchor)
@@ -235,6 +240,8 @@ def cmd_observable(args) -> int:
         obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
     except OperatorError as exc:
         raise ModelError(f"--pauli {args.pauli!r} on --support {args.support!r}: {exc}") from None
+    if args.pad < 0:
+        raise ModelError(f"--pad must be >= 0, got {args.pad}")
     order = _pick_order(ham, args)
     value, cert, valid = local_observable(ham, obs, order, pad=args.pad)
     prov = _provenance(args, ham)

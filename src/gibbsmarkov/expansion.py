@@ -194,14 +194,11 @@ def effective_hamiltonian(
 
 
 def _complement_log_z_ed(ham: Hamiltonian, comp) -> float:
-    """log tr e^{-beta H_comp} where H_comp keeps only terms inside comp."""
+    """log tr e^{-beta H_comp} where H_comp keeps only terms inside the
+    sorted vertex tuple comp."""
     cset = set(comp)
-    dim = ham.local_dim ** len(comp)
-    total = np.zeros((dim, dim), dtype=complex)
-    for t in ham.terms:
-        if set(t.support) <= cset:
-            total += embed(t.as_operator(ham.local_dim), tuple(sorted(cset))).matrix
-    w = np.linalg.eigvalsh(total)
+    inside = [t for t in ham.terms if set(t.support) <= cset]
+    w = np.linalg.eigvalsh(ed._term_sum_matrix(inside, comp, ham.local_dim))
     shifted = -ham.beta * (w - w[0])
     return float(np.log(np.exp(shifted).sum()) - ham.beta * w[0])
 

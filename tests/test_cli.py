@@ -185,6 +185,11 @@ class TestSubcommands:
         ["reduced", "--model", "tfi", "--region", "0", "--order", "-1"],
         ["observable", "--model", "tfi", "--support", "2", "--pauli", "Z", "--order", "-1"],
         ["entropy", "--model", "tfi", "--region", "0", "--order", "-1"],
+        ["clusters", "--model", "tfi", "--anchor", "0", "--max-order", "-1"],
+        ["effham", "--model", "tfi", "--region", "0", "--epsilon", "-1"],
+        ["entropy", "--model", "tfi", "--region", "0", "--order", "2", "--epsilon", "0"],
+        ["reduced", "--model", "tfi", "--region", "0", "--epsilon", "1e-300"],
+        ["observable", "--model", "tfi", "--support", "2", "--pauli", "Z", "--pad", "-3"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"

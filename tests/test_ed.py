@@ -1,17 +1,20 @@
 """Sanity checks of the dense-diagonalization reference on solvable cases."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbsmarkov import ed
 from gibbsmarkov.bounds import critical_beta
-from gibbsmarkov.operators import SupportedOperator
-from gibbsmarkov.random_models import random_chain
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
+from gibbsmarkov.expansion import cmi_expansion
+from gibbsmarkov.operators import SupportedOperator, embed
+from gibbsmarkov.random_models import random_chain, random_grid, tfi_chain
+from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian, load_model
 
 BETA_C = critical_beta(2)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def free_ham(n, beta=0.1):
@@ -52,6 +55,68 @@ class TestExactGibbs:
         assert np.isfinite(st.rho.matrix).all()
 
 
+def embed_sum(ham):
+    """The dense Hamiltonian as the sum of each term embedded on its own."""
+    support = tuple(range(ham.graph.vertex_count))
+    dim = ham.local_dim ** len(support)
+    total = np.zeros((dim, dim), dtype=complex)
+    for term in ham.terms:
+        total += embed(term.as_operator(ham.local_dim), support).matrix
+    return total
+
+
+def eigh_gibbs(ham):
+    """(rho, log Z) by a full eigendecomposition, shifted by the ground energy."""
+    w, v = np.linalg.eigh(embed_sum(ham))
+    weights = np.exp(-ham.beta * (w - w[0]))
+    z = weights.sum()
+    return (v * (weights / z)) @ v.conj().T, math.log(z) - ham.beta * w[0]
+
+
+class TestScaledTaylorExponential:
+    @pytest.mark.parametrize("ham, scaled", [
+        (random_chain(6, beta=0.25 * BETA_C, seed=3), False),
+        (random_chain(7, beta=0.9 * BETA_C, seed=5), False),
+        (tfi_chain(5, beta=1.0), True),
+        (ferro_chain(3, beta=500.0), True),
+    ])
+    def test_matches_eigendecomposition(self, ham, scaled):
+        x = ham.beta * sum(t.norm for t in ham.terms)
+        s, _ = ed._taylor_plan(x)
+        assert (s >= 1) == scaled
+        st = ed.exact_gibbs(ham)
+        rho, log_z = eigh_gibbs(ham)
+        assert np.max(np.abs(st.rho.matrix - rho)) <= 1e-13 * np.max(np.abs(rho))
+        assert abs(st.log_z - log_z) <= 1e-13 * abs(log_z)
+
+    def test_plan_at_the_benchmark_temperature(self):
+        # beta*sum||h_j|| ~ 4e-3 on a 9-site chain at beta_c/4
+        assert ed._taylor_plan(0.0037) == (0, 5)
+        assert ed._taylor_plan(0.0) == (0, 0)
+        # 500/2^10 ~ 0.49; at y = 1/2 the remainder bound needs degree 14
+        assert ed._taylor_plan(500.0) == (10, 14)
+
+    def test_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        ham = random_chain(5, beta=0.5 * BETA_C, seed=7)
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        st = ed.exact_gibbs(ham)
+        assert np.trace(st.rho.matrix).real == pytest.approx(1.0, abs=1e-14)
+
+
+class TestHamiltonianMatrix:
+    @pytest.mark.parametrize("ham", [
+        random_chain(7, beta=0.5 * BETA_C, seed=11),
+        random_grid(3, 3, beta=0.5 * BETA_C, seed=13),
+        load_model(MODELS / "powerlaw_chain6.json"),  # supports not contiguous
+    ])
+    def test_bitwise_equal_to_embedded_sum(self, ham):
+        assert np.array_equal(ed.hamiltonian_matrix(ham).matrix, embed_sum(ham))
+
+
 class TestEntropiesAndCmi:
     def test_empty_region_entropy_is_zero(self):
         st = ed.exact_gibbs(free_ham(3))
@@ -70,6 +135,15 @@ class TestEntropiesAndCmi:
         st = ed.exact_gibbs(ham)
         for a, b, c in [((0,), (1,), (2,)), ((0, 1), (2, 3), (4, 5)), ((1,), (), (4,))]:
             assert ed.exact_cmi(st, a, b, c) >= -1e-12
+
+    def test_small_cmi_keeps_its_digits(self):
+        # The true CMI is ~8.8e-16; as a difference of entropies of size
+        # ~log 2 per site it is lost to round-off, from deficits it is not.
+        ham = random_chain(5, beta=0.5 * BETA_C, seed=31)
+        st = ed.exact_gibbs(ham)
+        a, b, c = (0,), (1,), (2, 3, 4)
+        series = cmi_expansion(ham, a, b, c, 4, gibbs_state=st).cmi_estimate
+        assert abs(ed.exact_cmi(st, a, b, c) - series) <= 1e-17
 
     def test_rejects_overlapping_regions(self):
         st = ed.exact_gibbs(free_ham(3))
