@@ -21,8 +21,9 @@ sub-multiset alpha and on which sites of V_alpha are kept (a site of
 V_w - V_alpha contributes an identity), so clusters that share a
 sub-multiset share its moment.  One :class:`MomentTable` per expansion call
 memoizes the symmetrized products and the moments, so every cluster and all
-four CMI regions read each of them from one place; nothing in it outlives
-the call that made it.  An independent exact reference that shares no
+four CMI regions read each of them from one place, along with the
+contraction plans and log-step workspace those reads need; nothing in it
+outlives the call that made it.  An independent exact reference that shares no
 combinatorics with this module lives next to the suite that uses it, in
 :func:`gibbsmarkov.verify.exact_derivative`.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -39,53 +41,70 @@ from .spin_model import Hamiltonian
 from .clusters import Cluster, overlap_counts
 
 
-def _times(a: np.ndarray, a_sites, b: np.ndarray, b_sites, support, d: int) -> np.ndarray:
-    """(a (x) I) (b (x) I) on ``support`` = a_sites u b_sites, as a view with
-    one axis per row qudit, then one per column qudit, each in ascending
-    order.
-
-    Only the qudits that a and b share are summed over, in one matrix
-    product: for a k-local b on n sites that costs d^(2n + k), not the
-    d^(3n) of a dense product, and no identity is ever formed.  With
-    disjoint sites it is the tensor product a (x) b."""
+def _times_plan(a_sites, b_sites, support, d: int):
+    """How :func:`_times` lays out one site pattern: the shape and axis order
+    of each factor, the width of the shared qudits, and the shape and axis
+    order of the result."""
     u, k = len(a_sites), len(b_sites)
     shared = [i for i, v in enumerate(a_sites) if v in b_sites]
     rest = [i for i, v in enumerate(a_sites) if v not in b_sites]
     new = [i for i, v in enumerate(b_sites) if v not in a_sites]
     # a as (rows, columns off b | columns shared); b as (rows shared | rows
     # of its new sites, columns)
-    left = a.reshape((d,) * (2 * u)).transpose(
-        list(range(u)) + [u + i for i in rest] + [u + i for i in shared]
-    )
-    right = b.reshape((d,) * (2 * k)).transpose(
-        [b_sites.index(a_sites[i]) for i in shared] + new + list(range(k, 2 * k))
-    )
-    width = d ** len(shared)
-    out = left.reshape(-1, width) @ right.reshape(width, -1)
+    a_axes = list(range(u)) + [u + i for i in rest] + [u + i for i in shared]
+    b_axes = [b_sites.index(a_sites[i]) for i in shared] + new + list(range(k, 2 * k))
     rows = {v: i for i, v in enumerate(a_sites)}
     rows.update({b_sites[i]: u + len(rest) + j for j, i in enumerate(new)})
     cols = {a_sites[i]: u + j for j, i in enumerate(rest)}
     cols.update({v: u + len(rest) + len(new) + i for i, v in enumerate(b_sites)})
-    axes = [rows[v] for v in support] + [cols[v] for v in support]
-    return out.reshape((d,) * (2 * len(support))).transpose(axes)
+    out_axes = [rows[v] for v in support] + [cols[v] for v in support]
+    return (
+        (d,) * (2 * u), a_axes, (d,) * (2 * k), b_axes,
+        d ** len(shared), (d,) * (2 * len(support)), out_axes,
+    )
 
 
-def _traced_times(a: np.ndarray, a_sites, b: np.ndarray, b_sites, kept, d: int) -> np.ndarray:
-    """tr_out[(a (x) I) (b (x) I)] on the sorted sites ``kept``, tracing the
-    other sites of a_sites u b_sites, without forming the product: one
-    contraction over d^(n + |shared| + |kept|) index values on n sites."""
+def _times(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
+    """(a (x) I) (b (x) I) on the support of ``plan`` (a :func:`_times_plan`
+    of a's and b's sites), as a view with one axis per row qudit, then one
+    per column qudit, each in ascending order.
+
+    Only the qudits that a and b share are summed over, in one matrix
+    product: for a k-local b on n sites that costs d^(2n + k), not the
+    d^(3n) of a dense product, and no identity is ever formed.  With
+    disjoint sites it is the tensor product a (x) b."""
+    a_shape, a_axes, b_shape, b_axes, width, out_shape, out_axes = plan
+    left = a.reshape(a_shape).transpose(a_axes)
+    right = b.reshape(b_shape).transpose(b_axes)
+    out = left.reshape(-1, width) @ right.reshape(width, -1)
+    return out.reshape(out_shape).transpose(out_axes)
+
+
+def _traced_plan(a_sites, b_sites, kept, d: int):
+    """How :func:`_traced_times` contracts one site pattern: each factor's
+    shape and einsum labels, the output labels, and the kept dimension."""
     label = iter(range(3 * (len(a_sites) + len(b_sites))))
     row = {v: next(label) for v in sorted(set(a_sites) | set(b_sites))}
     col = {v: next(label) if v in kept else row[v] for v in row}
     mid = {v: next(label) for v in a_sites if v in b_sites}
-    a_labels = [row[v] for v in a_sites] + [mid.get(v, col[v]) for v in a_sites]
-    b_labels = [mid.get(v, row[v]) for v in b_sites] + [col[v] for v in b_sites]
-    out = np.einsum(
-        a.reshape((d,) * (2 * len(a_sites))), a_labels,
-        b.reshape((d,) * (2 * len(b_sites))), b_labels,
+    return (
+        (d,) * (2 * len(a_sites)),
+        [row[v] for v in a_sites] + [mid.get(v, col[v]) for v in a_sites],
+        (d,) * (2 * len(b_sites)),
+        [mid.get(v, row[v]) for v in b_sites] + [col[v] for v in b_sites],
         [row[v] for v in kept] + [col[v] for v in kept],
+        d ** len(kept),
     )
-    return out.reshape(d ** len(kept), -1)
+
+
+def _traced_times(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
+    """tr_out[(a (x) I) (b (x) I)] on the kept sites of ``plan`` (a
+    :func:`_traced_plan`), tracing the other sites of a's and b's, without
+    forming the product: one contraction over d^(n + |shared| + |kept|)
+    index values on n sites."""
+    a_shape, a_labels, b_shape, b_labels, out_labels, dim = plan
+    out = np.einsum(a.reshape(a_shape), a_labels, b.reshape(b_shape), b_labels, out_labels)
+    return out.reshape(dim, -1)
 
 
 class MomentTable:
@@ -120,21 +139,51 @@ class MomentTable:
     disconnected one is formed from its components when a larger product
     asks for it.  Every entry is a function of its key alone, so a shared
     table and a private one give bitwise equal derivatives.
+
+    Besides the entries, the table holds what does not change between
+    clusters: V_alpha and the components of each alpha, computed once; the
+    contraction plan (:func:`_times_plan`, :func:`_traced_plan`) of each
+    site pattern a product or moment meets, built once; and the block
+    matrix of :func:`cluster_derivative`'s log step, one per cluster size
+    and kept dimension, which makes a table serve one thread at a time.
+    All of it goes with the table.
     """
 
     def __init__(self, ham: Hamiltonian):
         self.ham = ham
         self._products: dict = {}
         self._moments: dict = {}
+        self._shapes: dict = {}
+        self._supports: dict = {}
+        self._plans: dict = {}
+        self._blocks: dict = {}
 
-    def _support(self, alpha) -> tuple[int, ...]:
-        return tuple(sorted(set().union(*(self.ham.terms[i].support for i in alpha))))
+    def _plan(self, build, a_sites, b_sites, sites):
+        """``build``'s plan for a site pattern, made once.  A plan depends
+        only on how the sites order and overlap, so patterns that differ by
+        a shift of every vertex id (a translate on a chain) share one."""
+        base = min(a_sites + b_sites, default=0)
+        a_sites = tuple([v - base for v in a_sites])
+        b_sites = tuple([v - base for v in b_sites])
+        sites = tuple([v - base for v in sites])
+        key = build, a_sites, b_sites, sites
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build(a_sites, b_sites, sites, self.ham.local_dim)
+        return plan
 
-    def _components(self, alpha) -> list[tuple[int, ...]]:
-        """The connected components of alpha, sorted."""
+    def _shape(self, alpha) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(V_alpha, the connected components of alpha, sorted, when it has
+        two or more, else ()).  The table holds one entry per alpha it
+        meets, so a connected alpha stores no copy of itself, and equal
+        supports share one tuple."""
+        hit = self._shapes.get(alpha)
+        if hit is not None:
+            return hit
+        terms = self.ham.terms
         parts: list = []  # (sites, elements), pairwise disjoint in sites
         for i in alpha:
-            sites, elements = set(self.ham.terms[i].support), [i]
+            sites, elements = set(terms[i].support), [i]
             apart = []
             for part in parts:
                 if part[0] & sites:
@@ -143,18 +192,23 @@ class MomentTable:
                 else:
                     apart.append(part)
             parts = apart + [(sites, elements)]
-        return sorted(tuple(sorted(elements)) for _, elements in parts)
+        support = tuple(sorted(set().union(*(sites for sites, _ in parts))))
+        support = self._supports.setdefault(support, support)
+        components = tuple(sorted(tuple(sorted(e)) for _, e in parts)) if len(parts) > 1 else ()
+        hit = self._shapes[alpha] = support, components
+        return hit
 
     def _last(self, alpha) -> int:
         """The position of an element e of the connected alpha whose removal
         leaves alpha - e connected: a repeated term if alpha has one, else
-        the last element that is no cut vertex of the overlap graph."""
+        the last element that is no cut vertex of the overlap graph.  Only
+        the full-trace moment of alpha asks, once."""
         for pos in range(1, len(alpha)):
             if alpha[pos] == alpha[pos - 1]:
                 return pos
         return next(
             pos for pos in reversed(range(len(alpha)))
-            if len(self._components(alpha[:pos] + alpha[pos + 1:])) == 1
+            if not self._shape(alpha[:pos] + alpha[pos + 1:])[1]
         )
 
     def _steps(self, alpha):
@@ -170,16 +224,14 @@ class MomentTable:
         if hit is not None:
             return hit
         d = self.ham.local_dim
-        support = self._support(alpha)
-        parts = self._components(alpha)
-        if len(parts) > 1:
+        support, parts = self._shape(alpha)
+        if parts:
             sites, prod = self._product(parts[0])
             for part in parts[1:]:
                 part_sites, part_prod = self._product(part)
                 joint = tuple(sorted(sites + part_sites))
-                prod = _times(prod, sites, part_prod, part_sites, joint, d).reshape(
-                    d ** len(joint), -1
-                )
+                plan = self._plan(_times_plan, sites, part_sites, joint)
+                prod = _times(prod, part_prod, plan).reshape(d ** len(joint), -1)
                 sites = joint
             count = math.factorial(len(alpha))
             for part in parts:
@@ -190,7 +242,8 @@ class MomentTable:
         else:
             prod = np.zeros((d,) * (2 * len(support)), dtype=complex)
             for count, sites, rest, term in self._steps(alpha):
-                step = _times(rest, sites, term.matrix, term.support, support, d)
+                plan = self._plan(_times_plan, sites, term.support, support)
+                step = _times(rest, term.matrix, plan)
                 prod += count * step if count > 1 else step
             hit = support, prod.reshape(d ** len(support), -1)
         self._products[alpha] = hit
@@ -199,15 +252,16 @@ class MomentTable:
     def moment(self, alpha, kept) -> np.ndarray:
         """W(alpha, kept) on the sorted site tuple ``kept``, which must hold
         every kept site of V_alpha."""
-        key = alpha, kept
-        hit = self._moments.get(key)
+        column = self._moments.get(kept)
+        if column is None:
+            column = self._moments[kept] = {}
+        hit = column.get(alpha)
         if hit is not None:
             return hit
         d, m = self.ham.local_dim, len(alpha)
-        parts = self._components(alpha)
-        support = self._support(alpha)
+        support, parts = self._shape(alpha)
         own = tuple(v for v in kept if v in support)
-        if len(parts) > 1:
+        if parts:
             # commuting pieces on disjoint sites: their product is exact
             hit = functools.reduce(np.matmul, [self.moment(p, kept) for p in parts])
         elif own != kept:
@@ -224,35 +278,68 @@ class MomentTable:
                 pos = self._last(alpha)
                 sites, rest = self._product(alpha[:pos] + alpha[pos + 1:])
                 term = self.ham.terms[alpha[pos]]
-                traced = m * _traced_times(rest, sites, term.matrix, term.support, own, d)
+                plan = self._plan(_traced_plan, sites, term.support, own)
+                traced = m * _traced_times(rest, term.matrix, plan)
             else:
                 traced = 0
                 for count, sites, rest, term in self._steps(alpha):
-                    traced = traced + count * _traced_times(
-                        rest, sites, term.matrix, term.support, own, d
-                    )
+                    plan = self._plan(_traced_plan, sites, term.support, own)
+                    traced = traced + count * _traced_times(rest, term.matrix, plan)
             hit = coeff * traced
-        self._moments[key] = hit
+        column[alpha] = hit
         return hit
+
+    def _subset_moments(self, term_indices, kept) -> list[np.ndarray]:
+        """W(alpha, kept) for the sub-multisets alpha that the nonempty
+        subsets of the elements select, in :func:`_subset_layout` order.
+        Entries already in the table are read directly; only a miss goes
+        through :meth:`moment`."""
+        cached = self._moments.setdefault(kept, {}).get
+        out = []
+        for pick in _subset_layout(len(term_indices))[1]:
+            alpha = pick(term_indices)
+            hit = cached(alpha)
+            out.append(self.moment(alpha, kept) if hit is None else hit)
+        return out
+
+    def _log_block(self, m: int, dim: int) -> np.ndarray:
+        """The block matrix of :func:`cluster_derivative`'s log step for m
+        elements and kept dimension ``dim``, indexed by the subsets in
+        :func:`_subset_layout` order.  Every cluster of that shape
+        overwrites the same blocks, so the rest stays zero and the array is
+        reused as it is."""
+        block = self._blocks.get((m, dim))
+        if block is None:
+            n = 1 << m
+            block = self._blocks[m, dim] = np.zeros((n, dim, n, dim), dtype=complex)
+        return block
 
 
 @functools.lru_cache(maxsize=None)
 def _subset_layout(m: int):
     """The 2^m subsets of m elements in order of size, so that the empty set
-    is first and the full set last: the element positions of each, the index
-    arrays (s, t, b) of the pairs with t a proper subset of s and b = s - t,
-    and the index of the first subset of each size 0..m."""
+    is first and the full set last: the element positions of each; for each
+    nonempty one, an itemgetter that picks its elements out of a tuple as a
+    tuple; the index arrays (s, t, b) of the pairs with t a nonempty proper
+    subset of s and b = s - t; and the index of the first subset of each
+    size 0..m."""
     masks = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
     index = {x: i for i, x in enumerate(masks)}
     members = tuple(tuple(j for j in range(m) if x >> j & 1) for x in masks)
+    # a singleton is picked as a one-element slice, so it comes out a tuple
+    pickers = tuple(
+        operator.itemgetter(*e) if len(e) > 1 else operator.itemgetter(slice(e[0], e[0] + 1))
+        for e in members[1:]
+    )
     pairs = [
-        (index[x], index[y], index[x ^ y]) for x in masks for y in masks if y & ~x == 0 and y != x
+        (index[x], index[y], index[x ^ y])
+        for x in masks for y in masks if y & ~x == 0 and y not in (0, x)
     ]
-    s, t, b = (np.array(column) for column in zip(*pairs))
+    s, t, b = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
     for shared in (s, t, b):
         shared.setflags(write=False)
     sizes = [x.bit_count() for x in masks]
-    return members, s, t, b, tuple(sizes.index(q) for q in range(m + 1))
+    return members, pickers, s, t, b, tuple(sizes.index(q) for q in range(m + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,7 +385,12 @@ def cluster_derivative(
 
         D_w G = sum_{q=1..m} (-1)^(q-1) / q * (M^q)[full, empty],
 
-    taken as m products of M, of size 2^m d^|kept|, with one block column.
+    M e_empty is the column of moments W_S itself, so the chain starts there
+    and takes m - 1 products of M, of size 2^m d^|kept|, with one block
+    column.  The blocks of M sit at the same places for every cluster of m
+    elements, so the table keeps one M per (m, d^|kept|) and each cluster
+    overwrites its blocks in place; the contraction plans its moments use
+    live in the same table.
 
     When nothing is kept, the moments are numbers and commute, so the
     ordered partitions collapse onto set partitions pi, and D_w G is the
@@ -322,24 +414,26 @@ def cluster_derivative(
         return np.zeros((dim, dim), dtype=complex)
     if moments is None:
         moments = MomentTable(ham)
-    members, s, t, b, starts = _subset_layout(m)
-    n, idx = 1 << m, cluster.term_indices
+    _, _, s, t, b, starts = _subset_layout(m)
+    n = 1 << m
     weights = np.empty((n, dim, dim), dtype=complex)
-    weights[0] = np.eye(dim)  # W of the empty set, read by the partition padding
-    weights[1:] = [moments.moment(tuple(map(idx.__getitem__, e)), kept) for e in members[1:]]
+    weights[1:] = moments._subset_moments(cluster.term_indices, kept)
     if not kept:
+        weights[0] = 1.0  # W of the empty set, read by the partition padding
         blocks, coeffs = _partition_layout(m)
         return (coeffs @ weights.reshape(n)[blocks].prod(axis=1)).reshape(1, 1)
-    block = np.zeros((n, dim, n, dim), dtype=complex)
+    # M e_empty is the moment column itself, so the chain starts at q = 2
+    # and never reads the empty-set column of M, which stays zero
+    column = weights[1:].reshape((n - 1) * dim, dim)
+    total = np.zeros((dim, dim), dtype=complex)
+    total += column[-dim:]  # the q = 1 term
+    block = moments._log_block(m, dim)
     block[s, :, t, :] = weights[b]
     block = block.reshape(n * dim, n * dim)
     # column q lives on the subsets of at least q elements, which the size
     # ordering puts last, so each product skips the rows and columns it
     # would only multiply by zero
-    column = np.zeros((n * dim, dim), dtype=complex)
-    column[:dim] = np.eye(dim)
-    total = np.zeros((dim, dim), dtype=complex)
-    for q in range(1, m + 1):
+    for q in range(2, m + 1):
         column = block[starts[q] * dim:, starts[q - 1] * dim:] @ column
         total += ((-1.0) ** (q - 1) / q) * column[-dim:]
     return total

@@ -219,13 +219,13 @@ def operator_correlation(
     st: ExactGibbs, op_a: SupportedOperator, op_b: SupportedOperator
 ) -> float:
     """Connected correlation tr(rho A B) - tr(rho A) tr(rho B) for operators
-    on disjoint supports."""
+    on disjoint supports, read off the reduced state on supp(A) u supp(B)."""
     if set(op_a.support) & set(op_b.support):
         raise ValueError("observables must live on disjoint supports")
-    full = st.rho.support
-    a = embed(op_a, full).matrix
-    b = embed(op_b, full).matrix
-    r = st.rho.matrix
+    sites = tuple(sorted(op_a.support + op_b.support))
+    r = reduced_density(st, sites).matrix
+    a = embed(op_a, sites).matrix
+    b = embed(op_b, sites).matrix
     joint = np.trace(r @ a @ b)
     sep = np.trace(r @ a) * np.trace(r @ b)
     return float((joint - sep).real)

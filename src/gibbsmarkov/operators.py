@@ -7,6 +7,7 @@ permutations derive from that single rule.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 
@@ -80,6 +81,25 @@ def identity(support, local_dim: int = 2) -> SupportedOperator:
     return SupportedOperator(support, np.eye(dim, dtype=complex), local_dim)
 
 
+# The plans below depend only on positions within a support and on its
+# size, so the caches are bounded by the patterns the local geometry
+# produces; the bound only stops pathological callers from growing them.
+_PLAN_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _embed_plan(positions: tuple, n_sites: int, d: int):
+    """(d^k, d^(n-k), axes) of :func:`embed_matrix`, with axes None when no
+    permutation is needed."""
+    rest = [p for p in range(n_sites) if p not in positions]
+    order = list(positions) + rest  # axis j of mat (x) I lives at target site order[j]
+    axes = None
+    if order != list(range(n_sites)):
+        inv = np.argsort(order)
+        axes = tuple(int(i) for i in inv) + tuple(int(i) + n_sites for i in inv)
+    return d ** len(positions), d ** len(rest), axes
+
+
 def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray:
     """Embed ``mat`` (acting on the qudits listed in ``positions``, in that
     order) into an ``n_sites``-qudit space, identity elsewhere.
@@ -87,19 +107,13 @@ def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray
     ``positions`` need not be sorted; the result respects the target ordering
     0..n_sites-1.
     """
-    positions = list(positions)
-    k = len(positions)
-    rest = [p for p in range(n_sites) if p not in positions]
-    dk, dr = d ** k, d ** len(rest)
+    dk, dr, axes = _embed_plan(tuple(positions), n_sites, d)
     # the Kronecker product mat (x) I, without np.kron's overhead
     full = (mat.reshape(dk, 1, dk, 1) * np.eye(dr, dtype=complex).reshape(1, dr, 1, dr))
     full = full.reshape(dk * dr, dk * dr)
-    order = positions + rest  # axis j of `full` lives at target site order[j]
-    if order == list(range(n_sites)):
+    if axes is None:
         return full
-    inv = np.argsort(order)
-    t = full.reshape([d] * (2 * n_sites))
-    t = t.transpose(list(inv) + [int(i) + n_sites for i in inv])
+    t = full.reshape((d,) * (2 * n_sites)).transpose(axes)
     dim = d ** n_sites
     return np.ascontiguousarray(t.reshape(dim, dim))
 
@@ -116,13 +130,9 @@ def embed(a: SupportedOperator, target_support) -> SupportedOperator:
     return SupportedOperator(target, mat, a.local_dim)
 
 
-def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
-    """Trace ``mat`` (on ``n_sites`` qudits) over every qudit whose position
-    is not in ``keep``; the result acts on the kept qudits in ascending order
-    (1x1 when none is kept)."""
-    keep = set(keep)
-    if len(keep) == n_sites:
-        return mat
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _trace_subscripts(keep: frozenset, n_sites: int) -> str:
+    """The einsum subscripts of :func:`trace_out`."""
     letters = string.ascii_letters
     if 2 * n_sites > len(letters):
         raise OperatorError("support too large for partial trace")
@@ -138,9 +148,19 @@ def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
             out_col.append(c)
         else:
             col.append(r)
-    sub = "".join(row + col) + "->" + "".join(out_row + out_col)
+    return "".join(row + col) + "->" + "".join(out_row + out_col)
+
+
+def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
+    """Trace ``mat`` (on ``n_sites`` qudits) over every qudit whose position
+    is not in ``keep``; the result acts on the kept qudits in ascending order
+    (1x1 when none is kept)."""
+    keep = frozenset(keep)
+    if len(keep) == n_sites:
+        return mat
     dim = d ** len(keep)
-    return np.einsum(sub, mat.reshape([d] * (2 * n_sites))).reshape(dim, dim)
+    sub = _trace_subscripts(keep, n_sites)
+    return np.einsum(sub, mat.reshape((d,) * (2 * n_sites))).reshape(dim, dim)
 
 
 def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:

@@ -122,6 +122,12 @@ class Hamiltonian:
     interaction_class: FiniteRange | PowerLaw
     beta: float
 
+    def __post_init__(self):
+        # the certificates hold for 0 <= beta < beta_c, and a negative beta
+        # would pass their beta < beta_c test; a nan fails both comparisons
+        if not 0.0 <= self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
+
     @property
     def local_dim(self) -> int:
         return self.graph.local_dim

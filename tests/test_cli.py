@@ -190,15 +190,23 @@ class TestSubcommands:
         ["entropy", "--model", "tfi", "--region", "0", "--order", "2", "--epsilon", "0"],
         ["reduced", "--model", "tfi", "--region", "0", "--epsilon", "1e-300"],
         ["observable", "--model", "tfi", "--support", "2", "--pauli", "Z", "--pad", "-3"],
+        ["logz", "--model", "tfi", "--beta", "-1"],
+        ["effham", "--model", "tfi", "--region", "0", "--beta", "nan"],
+        ["cmi", "--model", "tfi", "--A", "0", "--B", "1", "--C", "2", "--beta", "inf"],
+        ["logz", "--model", "negative-beta"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"
         malformed.write_text('{"vertices": "x"}')
+        negative = tmp_path / "negative.json"
+        doc = json.loads((MODELS / "tfi_chain6.json").read_text())
+        negative.write_text(json.dumps({**doc, "beta": -0.5}))
         paths = {
             "powerlaw": str(MODELS / "powerlaw_chain6.json"),
             "tfi": str(MODELS / "tfi_chain6.json"),
             "malformed": str(malformed),
             "missing": str(tmp_path / "nope.json"),
+            "negative-beta": str(negative),
         }
         argv = [paths.get(a, a) for a in argv]
         src = str(Path(gibbsmarkov.__file__).resolve().parent.parent)

@@ -184,18 +184,53 @@ class TestMethodAgreement:
             ref = exact_derivative(ham, c, kept)
             assert np.max(np.abs(bt - ref)) / self.scale(ham, c, bt) < 1e-12
 
+    @staticmethod
+    def interleaved(rng):
+        """Clusters of different sizes and kept dimensions, in turn on one
+        4-site chain: two different m = 5 clusters keep 3 sites, between
+        them m = 3 clusters keep 1 or 2 sites, and the m = 5 clusters also
+        keep 1 site or none, so every log-step block and plan the table
+        keeps is reused by a cluster other than the one that made it."""
+        ham = chain_ham(
+            [
+                ((0, 1), random_hermitian(rng, 4, 0.4)),
+                ((1, 2), random_hermitian(rng, 4, 0.3)),
+                ((2, 3), random_hermitian(rng, 4, 0.3)),
+                ((3,), random_hermitian(rng, 2, 0.2)),
+            ],
+            4,
+            beta=0.25,
+        )
+        t01, t12, t23, t3 = (term_index(ham, s) for s in ((0, 1), (1, 2), (2, 3), (3,)))
+        first = make_cluster(ham, (t01, t12, t23, t23, t3))
+        second = make_cluster(ham, (t01, t01, t12, t23, t3))
+        yield ham, first, (0, 1, 2)
+        yield ham, make_cluster(ham, (t12, t23, t3)), (2,)
+        yield ham, second, (0, 1, 2)
+        yield ham, make_cluster(ham, (t01, t12, t12)), (1,)
+        yield ham, first, (0, 1, 2)
+        yield ham, second, (1,)
+        yield ham, make_cluster(ham, (t12, t23, t3)), (1, 2)
+        yield ham, first, (2,)
+        yield ham, first, ()
+        yield ham, second, (0, 1, 2)
+
     def test_shared_table_is_bitwise_equal_to_private(self, rng):
         # one table for every case and every kept region of the model; the
         # cases are visited twice, so the second pass reads cached entries
-        cases = list(self.cases(rng))
-        table = MomentTable(cases[0][0])
-        for _ in range(2):
+        for cases in (list(self.cases(rng)), list(self.interleaved(rng))):
+            table = MomentTable(cases[0][0])
+            refs = {}
             for ham, c, kept in cases:
-                shared = cluster_derivative(ham, c, kept, moments=table)
-                private = cluster_derivative(ham, c, kept)
-                assert np.array_equal(shared, private)
-                ref = exact_derivative(ham, c, kept)
-                assert np.max(np.abs(shared - ref)) / self.scale(ham, c, shared) < 1e-12
+                if (c.term_indices, kept) not in refs:
+                    refs[c.term_indices, kept] = exact_derivative(ham, c, kept)
+            for _ in range(2):
+                for ham, c, kept in cases:
+                    ref = refs[c.term_indices, kept]
+                    shared = cluster_derivative(ham, c, kept, moments=table)
+                    private = cluster_derivative(ham, c, kept)
+                    assert np.array_equal(shared, private)
+                    assert np.max(np.abs(shared - ref)) / self.scale(ham, c, shared) < 1e-12
 
     def test_no_table_outlives_its_call(self, rng):
         # same term layout, different couplings: a cache keyed by term

@@ -13,6 +13,8 @@ from gibbsmarkov.operators import SupportedOperator, embed
 from gibbsmarkov.random_models import random_chain, random_grid, tfi_chain
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian, load_model
 
+from conftest import random_hermitian
+
 BETA_C = critical_beta(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -200,6 +202,16 @@ class TestCorrelations:
         op_a = SupportedOperator((0,), PAULI["Z"], local_dim=2)
         op_b = SupportedOperator((3,), PAULI["Z"], local_dim=2)
         assert ed.operator_correlation(st, op_a, op_b) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("a_sites, b_sites", [((0,), (5,)), ((1, 4), (2, 6)), ((6,), (0, 3))])
+    def test_reduced_state_matches_full_space_formula(self, rng, a_sites, b_sites):
+        st = ed.exact_gibbs(random_chain(7, beta=0.9 * BETA_C, seed=5))
+        op_a = SupportedOperator(a_sites, random_hermitian(rng, 2 ** len(a_sites), 1.0))
+        op_b = SupportedOperator(b_sites, random_hermitian(rng, 2 ** len(b_sites), 1.0))
+        full = st.rho.support
+        a, b, r = embed(op_a, full).matrix, embed(op_b, full).matrix, st.rho.matrix
+        want = (np.trace(r @ a @ b) - np.trace(r @ a) * np.trace(r @ b)).real
+        assert abs(ed.operator_correlation(st, op_a, op_b) - want) <= 1e-14
 
     def test_rejects_overlapping_supports(self):
         st = ed.exact_gibbs(free_ham(3))

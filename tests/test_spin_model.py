@@ -89,6 +89,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             build_hamiltonian(g, [((0, 3), 0.1 * ZZ)], FiniteRange(1), beta=0.1)
 
+    @pytest.mark.parametrize("beta", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_beta_rejected(self, beta):
+        g = chain(2)
+        with pytest.raises(ValidationError, match="beta"):
+            build_hamiltonian(g, [((0, 1), 0.1 * ZZ)], FiniteRange(1), beta=beta)
+        ham = build_hamiltonian(g, [((0, 1), 0.1 * ZZ)], FiniteRange(1), beta=0.1)
+        with pytest.raises(ValidationError, match="beta"):
+            ham.with_beta(beta)
+
+    def test_zero_beta_is_valid(self):
+        g = chain(2)
+        ham = build_hamiltonian(g, [((0, 1), 0.1 * ZZ)], FiniteRange(1), beta=0.0)
+        assert ham.beta == 0.0
+        assert ham.with_beta(0.1).with_beta(0).beta == 0.0
+
 
 class TestPowerLawTails:
     def max_admissible_j(self, n, alpha):
@@ -300,10 +315,14 @@ class TestModelFiles:
             (("terms", 0, "matrix", 0), [1]),
             (("terms", 0, "matrix", 0), "x"),
             (("terms", 0, "matrix"), 7),
+            (("beta",), -0.5),
+            (("beta",), math.nan),
+            (("beta",), math.inf),
         ],
         ids=[
             "beta", "vertices", "local_dim", "edge", "support", "term",
             "coeff", "pauli", "matrix-pair", "matrix-entry", "matrix",
+            "negative-beta", "nan-beta", "inf-beta",
         ],
     )
     def test_malformed_field_is_a_model_error(self, tmp_path, path, value):
