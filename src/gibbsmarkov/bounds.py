@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .spin_model import Hamiltonian, PowerLaw, SpinGraph, g_tilde
+from .spin_model import Hamiltonian, PowerLaw, SpinGraph, check_beta, g_tilde
 from . import ed
 
 
@@ -61,8 +61,10 @@ def finite_range_cmi_bound(
         e * min(|dA_r|, |dC_r|) * (beta/beta_c)^(d_AC/r) / (1 - beta/beta_c)
 
     valid below the threshold temperature.  An infinite d_AC (disconnected
-    regions) gives value 0.
+    regions) gives value 0.  A negative or non-finite beta raises
+    ``ValidationError``.
     """
+    check_beta(beta)
     inputs = {
         "min_surface": min_surface,
         "beta": beta,
@@ -90,8 +92,10 @@ def power_law_cmi_bound(
         beta * min(|A|, |C|) * C_beta * d_AC^(-alpha),
         C_beta = (11 e^(1/k) / beta_c) / (1 - 11 beta / beta_c)
 
-    valid for beta < beta_c/11 and d_AC >= 2*alpha.
+    valid for beta < beta_c/11 and d_AC >= 2*alpha.  A negative or
+    non-finite beta raises ``ValidationError``.
     """
+    check_beta(beta)
     beta_c = critical_beta(k)
     inputs = {
         "min_ac": min_ac,

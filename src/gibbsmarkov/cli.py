@@ -324,8 +324,6 @@ def cmd_cmi(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    prov = _provenance(args)
-    _print_provenance(prov)
     beta_c = critical_beta(args.k)
     rows = []
     if args.kind in ("finite_range", "both"):
@@ -336,6 +334,8 @@ def cmd_bound(args) -> int:
     if args.kind in ("power_law", "both"):
         rep = power_law_cmi_bound(args.min_ac, args.beta, args.k, args.alpha, args.d_ac)
         rows.append(rep)
+    prov = _provenance(args)
+    _print_provenance(prov)
     for rep in rows:
         print(str(rep))
         if rep.valid:

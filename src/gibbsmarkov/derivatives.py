@@ -36,7 +36,7 @@ import operator
 
 import numpy as np
 
-from .operators import SupportedOperator, embed_matrix, trace_out
+from .operators import SupportedOperator, add_embedded, embed_matrix, trace_out
 from .spin_model import Hamiltonian
 from .clusters import Cluster, overlap_counts
 
@@ -121,16 +121,19 @@ class MomentTable:
 
         W(alpha, K) = (-beta)^|alpha| / |alpha|! * tr_{V_alpha - K} P(alpha) / d^|V_alpha - K|,
 
-    tensored with the identity on the sites of K outside V_alpha.  W is
-    contracted from the P(alpha - e_j) and h_j directly, so P(alpha) is only
-    formed when a larger product asks for it: never at the top order.  A
-    full trace (K disjoint from V_alpha) is cyclic, so each element comes
-    last in 1/|alpha| of the orderings and one contraction does,
+    tensored with the identity on the sites of K outside V_alpha.  A full
+    trace (K disjoint from V_alpha) is cyclic, so each element comes last in
+    1/|alpha| of the orderings and one contraction, without P(alpha), does,
 
         tr P(alpha) = |alpha| tr(P(alpha - e) h_e),
 
     with e chosen so that alpha - e stays connected and its product stored.
-    A partial trace is not cyclic, so a kept moment takes the sum over j.
+    A partial trace is not cyclic, so a kept moment is one partial trace of
+    P(alpha) itself.  The products of proper sub-multisets of a cluster are
+    the building blocks of its own product, so they are stored anyway; the
+    product of the cluster being differentiated is held in a single slot
+    instead, where every kept region of that cluster (the four of a CMI
+    term) reads it, and the next cluster's product replaces it.
 
     When the supports of alpha fall apart into components alpha_1 ... alpha_c
     (each connected), their terms commute across components, so
@@ -143,9 +146,10 @@ class MomentTable:
     Besides the entries, the table holds what does not change between
     clusters: V_alpha and the components of each alpha, computed once; the
     contraction plan (:func:`_times_plan`, :func:`_traced_plan`) of each
-    site pattern a product or moment meets, built once; and the block
-    matrix of :func:`cluster_derivative`'s log step, one per cluster size
-    and kept dimension, which makes a table serve one thread at a time.
+    site pattern a product or moment meets, built once; the held product;
+    and the block matrix of :func:`cluster_derivative`'s log step, one per
+    cluster size and kept dimension.  The last two make a table serve one
+    thread at a time.
     All of it goes with the table.
     """
 
@@ -157,6 +161,7 @@ class MomentTable:
         self._supports: dict = {}
         self._plans: dict = {}
         self._blocks: dict = {}
+        self._held: tuple = ((), None)  # (alpha, (V_alpha, P(alpha))), not stored
 
     def _plan(self, build, a_sites, b_sites, sites):
         """``build``'s plan for a site pattern, made once.  A plan depends
@@ -218,11 +223,15 @@ class MomentTable:
             if pos == 0 or alpha[pos - 1] != i:
                 yield (alpha.count(i), *self._product(alpha[:pos] + alpha[pos + 1:]), terms[i])
 
-    def _product(self, alpha) -> tuple[tuple[int, ...], np.ndarray]:
-        """(V_alpha, P(alpha)) for a nonempty alpha."""
+    def _product(self, alpha, hold: bool = False) -> tuple[tuple[int, ...], np.ndarray]:
+        """(V_alpha, P(alpha)) for a nonempty alpha.  A connected product is
+        stored once formed; with ``hold`` it is read from or kept in the
+        one-slot hold instead, unless it is stored already."""
         hit = self._products.get(alpha)
         if hit is not None:
             return hit
+        if hold and self._held[0] == alpha:
+            return self._held[1]
         d = self.ham.local_dim
         support, parts = self._shape(alpha)
         if parts:
@@ -246,7 +255,10 @@ class MomentTable:
                 step = _times(rest, term.matrix, plan)
                 prod += count * step if count > 1 else step
             hit = support, prod.reshape(d ** len(support), -1)
-        self._products[alpha] = hit
+        if hold:
+            self._held = alpha, hit
+        else:
+            self._products[alpha] = hit
         return hit
 
     def moment(self, alpha, kept) -> np.ndarray:
@@ -269,10 +281,11 @@ class MomentTable:
             hit = embed_matrix(base, [kept.index(v) for v in own], len(kept), d)
         else:
             coeff = (-self.ham.beta) ** m / math.factorial(m) / d ** (len(support) - len(own))
-            if m == 1:
+            if own or m == 1:
+                prod = self._product(alpha, hold=True)[1]
                 keep = [support.index(v) for v in own]
-                traced = trace_out(self.ham.terms[alpha[0]].matrix, keep, len(support), d)
-            elif not own:
+                traced = trace_out(prod, keep, len(support), d)
+            else:
                 # a full trace is cyclic, so every element comes last in 1/m
                 # of the orderings: tr P(alpha) = m tr(P(alpha - e) h_e)
                 pos = self._last(alpha)
@@ -280,11 +293,6 @@ class MomentTable:
                 term = self.ham.terms[alpha[pos]]
                 plan = self._plan(_traced_plan, sites, term.support, own)
                 traced = m * _traced_times(rest, term.matrix, plan)
-            else:
-                traced = 0
-                for count, sites, rest, term in self._steps(alpha):
-                    plan = self._plan(_traced_plan, sites, term.support, own)
-                    traced = traced + count * _traced_times(rest, term.matrix, plan)
             hit = coeff * traced
         column[alpha] = hit
         return hit
@@ -293,13 +301,17 @@ class MomentTable:
         """W(alpha, kept) for the sub-multisets alpha that the nonempty
         subsets of the elements select, in :func:`_subset_layout` order.
         Entries already in the table are read directly; only a miss goes
-        through :meth:`moment`."""
+        through :meth:`moment`.  The full set goes first: forming its
+        product stores the products of every connected proper sub-multiset,
+        so the moments after it find theirs in the table, and only the
+        cluster's own product is held rather than stored."""
         cached = self._moments.setdefault(kept, {}).get
         out = []
-        for pick in _subset_layout(len(term_indices))[1]:
+        for pick in reversed(_subset_layout(len(term_indices))[1]):
             alpha = pick(term_indices)
             hit = cached(alpha)
             out.append(self.moment(alpha, kept) if hit is None else hit)
+        out.reverse()
         return out
 
     def _log_block(self, m: int, dim: int) -> np.ndarray:
@@ -475,9 +487,12 @@ def cmi_cluster_term(
 
         D_w[ G_AB + G_BC - G_ABC - G_B ],
 
-    each piece kept on the respective region, embedded on
-    (A u B u C) intersect V_w and summed with signs.  The four pieces read
-    one moment table: ``moments`` when given, else a private one."""
+    each piece kept on the respective region and added with its sign, in
+    place, onto (A u B u C) intersect V_w.  A region that keeps all of V_w
+    contributes exactly zero at m >= 2 (see :func:`cluster_derivative`) and
+    is skipped.  The pieces read one moment table, ``moments`` when given,
+    else a private one, so the cluster's product is formed once for all of
+    them."""
     regions = (
         (tuple(a_region) + tuple(b_region), 1.0),
         (tuple(b_region) + tuple(c_region), 1.0),
@@ -493,8 +508,10 @@ def cmi_cluster_term(
     d = ham.local_dim
     acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)
     for region, sign in regions:
-        mat = cluster_derivative(ham, cluster, region, moments=moments)
         rset = set(region)
+        if cluster.size > 1 and rset.issuperset(cluster.support):
+            continue
         positions = [p for p, v in enumerate(target) if v in rset]
-        acc += sign * embed_matrix(mat, positions, len(target), d)
+        mat = cluster_derivative(ham, cluster, region, moments=moments)
+        add_embedded(acc, mat, positions, len(target), d, sign)
     return SupportedOperator(target, acc, local_dim=d)

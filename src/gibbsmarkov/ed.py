@@ -10,7 +10,8 @@ the threshold temperature beta*||H|| is small, so e^{-beta H} is a short
 Taylor polynomial, taken by scaling and squaring (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179 (2005)) with its degree and scaling set by the norm
 bound ||beta H|| <= beta * sum_j ||h_j||.  The dense Hamiltonian is summed in
-place, each term added through a diagonal view of the (d,)^{2n} tensor.
+place, each term added through a diagonal view of the (d,)^{2n} tensor
+(:func:`~gibbsmarkov.operators.add_embedded`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .operators import (
     SupportedOperator,
+    add_embedded,
     embed,
     logm_posdef,
     partial_trace,
@@ -52,27 +54,16 @@ class ExactGibbs:
 
 def _term_sum_matrix(terms, sites, local_dim: int) -> np.ndarray:
     """Dense sum of ``terms`` (each supported inside the sorted ``sites``) on
-    the qudits of ``sites``.
-
-    Each term is added through a writable diagonal view of the (d,)^{2n}
-    tensor: the view pairs the row and column index of every site outside the
-    term, so no d^n x d^n embedding of a term is formed.  Entry by entry this
-    adds the same numbers in the same order as summing ``embed`` of each term.
-    """
+    the qudits of ``sites``, each added in place by
+    :func:`~gibbsmarkov.operators.add_embedded`, so no d^n x d^n embedding
+    of a term is formed."""
     n = len(sites)
-    d = local_dim
     position = {v: p for p, v in enumerate(sites)}
-    total = np.zeros((d,) * (2 * n), dtype=complex)
-    rows = list(range(n))
+    dim = local_dim ** n
+    total = np.zeros((dim, dim), dtype=complex)
     for term in terms:
-        held = [position[v] for v in term.support]
-        rest = [p for p in rows if p not in held]
-        cols = [n + p if p in held else p for p in rows]
-        view = np.einsum(total, rows + cols, held + [n + p for p in held] + rest)
-        k = len(held)
-        view += term.matrix.reshape((d,) * (2 * k) + (1,) * len(rest))
-    dim = d ** n
-    return total.reshape(dim, dim)
+        add_embedded(total, term.matrix, [position[v] for v in term.support], n, local_dim)
+    return total
 
 
 def hamiltonian_matrix(ham: Hamiltonian) -> SupportedOperator:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import SupportedOperator, embed, expm_hermitian
+from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, operator_norms
 from .spin_model import FiniteRange, Hamiltonian, ModelError
 from .clusters import (
     enumerate_connected,
@@ -70,15 +70,13 @@ class ExpansionResult:
 
     def boundary_operator(self) -> SupportedOperator:
         """Sum of the multiplicity-weighted boundary terms on the region."""
-        dim = self.ham.local_dim ** len(self.region)
-        acc = np.zeros((dim, dim), dtype=complex)
+        d, region = self.ham.local_dim, self.region
+        acc = np.zeros((d ** len(region), d ** len(region)), dtype=complex)
         for m, entries in sorted(self.boundary_terms.items()):
             for cluster, op in entries:
-                if op.support:
-                    acc += cluster.multiplicity * embed(op, self.region).matrix
-                else:
-                    acc += cluster.multiplicity * complex(op.matrix[0, 0]) * np.eye(dim)
-        return SupportedOperator(self.region, acc, local_dim=self.ham.local_dim)
+                positions = [region.index(v) for v in op.support]
+                add_embedded(acc, op.matrix, positions, len(region), d, cluster.multiplicity)
+        return SupportedOperator(region, acc, local_dim=d)
 
     def _bare_plus_boundary(self) -> SupportedOperator:
         """H_eff(L) without its scalar channel, which normalizing cancels."""
@@ -95,9 +93,10 @@ class ExpansionResult:
     def per_order_norms(self) -> dict:
         out = {}
         for m, entries in sorted(self.boundary_terms.items()):
+            norms = operator_norms(op.matrix for _, op in entries)
             total = 0.0
-            for cluster, op in entries:
-                total += cluster.multiplicity * op.norm()
+            for (cluster, _), norm in zip(entries, norms):
+                total += cluster.multiplicity * norm
             out[m] = total
         return out
 
@@ -340,18 +339,29 @@ def cmi_expansion(
     b = tuple(sorted(set(map(int, b_region))))
     c = tuple(sorted(set(map(int, c_region))))
     target = tuple(sorted(set(a) | set(b) | set(c)))
-    dim = ham.local_dim ** len(target)
-    acc = np.zeros((dim, dim), dtype=complex)
+    d = ham.local_dim
+    acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)
     per_order: dict = {}
     norm_acc = 0.0
     moments = MomentTable(ham)
     for m in range(1, order + 1):
+        weights = []
+
+        def pieces():
+            # each piece is added onto A u B u C as it comes, and handed on
+            # for its norm
+            for cluster in enumerate_linking(ham, a, c, m):
+                piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
+                weight = cluster.multiplicity / math.factorial(m)
+                positions = [target.index(v) for v in piece.support]
+                add_embedded(acc, piece.matrix, positions, len(target), d, -weight)
+                weights.append(weight)
+                yield piece.matrix
+
+        norms = operator_norms(pieces())
         order_sum = 0.0
-        for cluster in enumerate_linking(ham, a, c, m):
-            piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
-            weight = cluster.multiplicity / math.factorial(m)
-            acc -= weight * embed(piece, target).matrix
-            order_sum += weight * piece.norm()
+        for weight, norm in zip(weights, norms):
+            order_sum += weight * norm
         per_order[m] = order_sum
         norm_acc += order_sum
     op = SupportedOperator(target, acc, local_dim=ham.local_dim)

@@ -114,6 +114,14 @@ class InteractionTerm:
         return SupportedOperator(self.support, self.matrix, local_dim)
 
 
+def check_beta(beta: float) -> None:
+    """Refuse an inverse temperature that is negative or not finite."""
+    # the certificates hold for 0 <= beta < beta_c, and a negative beta
+    # would pass their beta < beta_c test; a nan fails both comparisons
+    if not 0.0 <= beta < math.inf:
+        raise ValidationError(f"beta must be finite and >= 0, got {beta}")
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     graph: SpinGraph
@@ -123,10 +131,7 @@ class Hamiltonian:
     beta: float
 
     def __post_init__(self):
-        # the certificates hold for 0 <= beta < beta_c, and a negative beta
-        # would pass their beta < beta_c test; a nan fails both comparisons
-        if not 0.0 <= self.beta < math.inf:
-            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
+        check_beta(self.beta)
 
     @property
     def local_dim(self) -> int:

@@ -16,7 +16,13 @@ from gibbsmarkov.bounds import (
     tail_sum_check,
 )
 from gibbsmarkov.random_models import power_law_chain, random_chain
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
+from gibbsmarkov.spin_model import (
+    FiniteRange,
+    PAULI,
+    ValidationError,
+    build_graph,
+    build_hamiltonian,
+)
 
 
 class TestCriticalBeta:
@@ -89,6 +95,17 @@ class TestFiniteRangeBound:
         assert not rep.valid and math.isinf(rep.value)
         assert "beta" in rep.reason
 
+    @pytest.mark.parametrize("beta", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_negative_or_nonfinite_beta(self, beta):
+        # the Hamiltonian's rule: a negative beta would pass beta < beta_c
+        # and a nan would give a nan bound
+        with pytest.raises(ValidationError):
+            finite_range_cmi_bound(1, beta, critical_beta(2), 4.0, 1)
+
+    def test_zero_beta_is_accepted(self):
+        rep = finite_range_cmi_bound(1, 0.0, critical_beta(2), 4.0, 1)
+        assert rep.value == 0.0 and rep.valid
+
 
 class TestPowerLawBound:
     def test_arithmetic(self):
@@ -110,6 +127,11 @@ class TestPowerLawBound:
         rep = power_law_cmi_bound(1, critical_beta(2) / 22.0, 2, 2.0, 10.0)
         text = str(rep)
         assert "power_law_cmi_bound" in text and "valid" in text
+
+    @pytest.mark.parametrize("beta", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_negative_or_nonfinite_beta(self, beta):
+        with pytest.raises(ValidationError):
+            power_law_cmi_bound(1, beta, 2, 2.0, 4.0)
 
 
 class TestRecoveryBound:

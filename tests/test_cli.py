@@ -194,6 +194,8 @@ class TestSubcommands:
         ["effham", "--model", "tfi", "--region", "0", "--beta", "nan"],
         ["cmi", "--model", "tfi", "--A", "0", "--B", "1", "--C", "2", "--beta", "inf"],
         ["logz", "--model", "negative-beta"],
+        ["bound", "--kind", "both", "--beta", "-1"],
+        ["bound", "--kind", "both", "--beta", "nan"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"

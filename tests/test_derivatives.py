@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from gibbsmarkov.clusters import make_cluster
+from gibbsmarkov.bounds import critical_beta
+from gibbsmarkov.clusters import enumerate_connected, enumerate_linking, make_cluster
 from gibbsmarkov.derivatives import (
     MomentTable,
     cluster_derivative,
@@ -25,6 +26,7 @@ from gibbsmarkov.derivatives import (
 )
 from gibbsmarkov.expansion import effective_hamiltonian
 from gibbsmarkov.operators import embed, embed_matrix, operator_norm
+from gibbsmarkov.random_models import random_chain
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
 from gibbsmarkov import verify
 from gibbsmarkov.verify import exact_derivative, run_suite
@@ -249,6 +251,42 @@ class TestMethodAgreement:
         assert np.array_equal(res.boundary_operator().matrix, alone.boundary_operator().matrix)
 
 
+class TestTableMemory:
+    @pytest.mark.parametrize("kept", [(), (2,), (2, 3), (1, 2, 3, 4)])
+    def test_no_product_of_the_top_size_is_stored(self, kept):
+        # the product of the cluster being differentiated is held, not
+        # stored: after every size-m cluster, the stored products are the
+        # building blocks of size < m only
+        ham = random_chain(6, beta=0.5 * critical_beta(2), seed=3)
+        for m in (2, 3, 4):
+            table = MomentTable(ham)
+            for c in enumerate_connected(ham, m):
+                cluster_derivative(ham, c, kept, moments=table)
+            assert table._products
+            assert max(len(alpha) for alpha in table._products) < m
+
+    def test_cmi_regions_form_the_cluster_product_once(self, monkeypatch):
+        ham = random_chain(6, beta=0.5 * critical_beta(2), seed=3)
+        formed = []
+        real = MomentTable._product
+
+        def spy(self, alpha, hold=False):
+            hit = real(self, alpha, hold)
+            if hold:
+                formed.append((alpha, id(hit[1])))
+            return hit
+
+        monkeypatch.setattr(MomentTable, "_product", spy)
+        table = MomentTable(ham)
+        for c in enumerate_linking(ham, (0,), (3,), 4):
+            formed.clear()
+            cmi_cluster_term(ham, c, (0,), (1, 2), (3,), moments=table)
+            # every kept region read the one product formed for the cluster
+            tops = [arrays for alpha, arrays in formed if alpha == c.term_indices]
+            assert len(tops) >= 2 and len(set(tops)) == 1
+            assert max(len(alpha) for alpha in table._products) < 4
+
+
 class TestScalarMoment:
     def test_one_contraction_matches_sum_over_orderings(self, rng):
         # tr P(alpha) = m tr(P(alpha - e) h_e) by cyclicity; check it against
@@ -352,19 +390,23 @@ class TestCmiCombination:
     def test_matches_sign_sum_of_pieces(self, rng):
         h1 = random_hermitian(rng, 4, 0.5)
         h2 = random_hermitian(rng, 4, 0.5)
-        ham = chain_ham([((0, 1), h1), ((1, 2), h2)], 4, beta=0.3)
-        c = make_cluster(
-            ham, (term_index(ham, (0, 1)), term_index(ham, (1, 2)))
-        )
+        h3 = random_hermitian(rng, 4, 0.3)
+        ham = chain_ham([((0, 1), h1), ((1, 2), h2), ((0, 2), h3)], 4, beta=0.3)
         a, b, cc = (0,), (1,), (2,)
-        combo = cmi_cluster_term(ham, c, a, b, cc)
-        target = combo.support
-        acc = np.zeros_like(combo.matrix)
-        for region, sign in [((0, 1), 1), ((1, 2), 1), ((0, 1, 2), -1), ((1,), -1)]:
-            piece = cluster_derivative(ham, c, region)
-            positions = [p for p, v in enumerate(target) if v in region]
-            acc += sign * embed_matrix(piece, positions, len(target), ham.local_dim)
-        assert np.max(np.abs(combo.matrix - acc)) < 1e-13
+        # a pair, and a single term that links A to C by itself: ABC keeps
+        # all of its support, and at m = 1 that region still contributes
+        # (the pair's four pieces cancel to round-off in this geometry)
+        for idxs in [((0, 1), (1, 2)), ((0, 2),)]:
+            c = make_cluster(ham, tuple(term_index(ham, s) for s in idxs))
+            combo = cmi_cluster_term(ham, c, a, b, cc)
+            target = combo.support
+            acc = np.zeros_like(combo.matrix)
+            for region, sign in [((0, 1), 1), ((1, 2), 1), ((0, 1, 2), -1), ((1,), -1)]:
+                piece = cluster_derivative(ham, c, region)
+                positions = [p for p, v in enumerate(target) if v in region]
+                acc += sign * embed_matrix(piece, positions, len(target), ham.local_dim)
+            assert c.size > 1 or np.max(np.abs(acc)) > 1e-2
+            assert np.max(np.abs(combo.matrix - acc)) < 1e-13
 
     def test_norm_bound_holds(self, rng):
         h1 = random_hermitian(rng, 4, 0.5)

@@ -7,6 +7,8 @@ import pytest
 
 from gibbsmarkov import ed, expansion
 from gibbsmarkov.bounds import critical_beta
+from gibbsmarkov.clusters import enumerate_linking
+from gibbsmarkov.derivatives import cluster_derivative
 from gibbsmarkov.expansion import (
     cmi_expansion,
     cmi_order_norm_bound,
@@ -21,6 +23,7 @@ from gibbsmarkov.expansion import (
 )
 from gibbsmarkov.operators import (
     SupportedOperator,
+    embed_matrix,
     expm_hermitian,
     operator_norm,
 )
@@ -249,6 +252,43 @@ class TestCmiExpansion:
         res = cmi_expansion(ham, (0,), (1, 2, 3, 4, 5), (6,), order=3)
         assert res.norm_bound_accumulated == 0.0
         assert np.max(np.abs(res.operator.matrix)) == 0.0
+
+    def test_clusters_reaching_outside_abc_match_embed_and_sum(self):
+        # clusters of order 3 to 5 on a 6-site chain reach sites 3 and 4,
+        # outside A u B u C.  Their ABC-region derivative first differs from
+        # 0 at order 5, so the test goes that far; with B two sites wide
+        # every term below order 5 cancels to round-off, so B is one site.
+        # The reference embeds every region's derivative with identities,
+        # sums the four with their signs, and embeds the piece on A u B u C.
+        ham = random_chain(6, beta=0.5 * BETA_C, seed=59)
+        a, b, c = (0,), (1,), (2,)
+        target = (0, 1, 2)
+        d = ham.local_dim
+        first_order = ham.beta * max(t.norm for t in ham.terms)
+        res = cmi_expansion(ham, a, b, c, 5)
+        acc = np.zeros_like(res.operator.matrix)
+        sticks_out = 0
+        for m in range(1, 6):
+            order_sum = 0.0
+            for cluster in enumerate_linking(ham, a, c, m):
+                sticks_out += not set(cluster.support) <= set(target)
+                sub = tuple(v for v in cluster.support if v in target)
+                piece = np.zeros((d ** len(sub),) * 2, dtype=complex)
+                for region, sign in [(a + b, 1), (b + c, 1), (a + b + c, -1), (b, -1)]:
+                    dw = cluster_derivative(ham, cluster, region)
+                    positions = [p for p, v in enumerate(sub) if v in region]
+                    piece += sign * embed_matrix(dw, positions, len(sub), d)
+                weight = cluster.multiplicity / math.factorial(m)
+                positions = [target.index(v) for v in sub]
+                acc -= weight * embed_matrix(piece, positions, len(target), d)
+                order_sum += weight * operator_norm(piece)
+            assert abs(res.per_order_norm_sums[m] - order_sum) <= 1e-12 * first_order ** m
+        assert sticks_out > 0
+        # the sums from order 3 on are of their natural size, not round-off
+        for m in (3, 4, 5):
+            assert res.per_order_norm_sums[m] > 1e-2 * first_order ** m
+        # linking clusters start at m = 2, the largest scale in the sum
+        assert np.max(np.abs(res.operator.matrix - acc)) <= 1e-12 * first_order ** 2
 
     def test_free_model_has_zero_cmi_operator(self):
         ham = free_ham(5, beta=1.0)

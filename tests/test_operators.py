@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from gibbsmarkov import operators
 from gibbsmarkov.operators import (
+    NORM_CHUNK_BYTES,
+    OperatorError,
     PositivityError,
     SupportedOperator,
+    add_embedded,
     embed,
+    embed_matrix,
     expm_hermitian,
     identity,
     logm_posdef,
     operator_norm,
+    operator_norms,
     partial_trace,
 )
 from gibbsmarkov.spin_model import PAULI
@@ -41,6 +47,78 @@ class TestEmbed:
         a = op((0, 3), np.eye(4))
         with pytest.raises(Exception):
             embed(a, (0, 1, 2))
+
+
+def random_complex(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+class TestAddEmbedded:
+    @pytest.mark.parametrize("positions, n_sites", [
+        ((0, 2), 3),        # sorted, with a gap
+        ((1,), 4),
+        ((2, 0), 3),        # unsorted
+        ((3, 0, 2), 4),
+        ((0, 1, 2), 3),     # full, in order
+        ((2, 0, 1), 3),     # full, permuted
+        ((), 3),            # a number times the identity
+        ((), 0),
+    ])
+    def test_equals_adding_the_embedding(self, rng, positions, n_sites):
+        for d, scale in ((2, 1.0), (2, -0.375), (3, 0.25 - 1j)):
+            k = len(positions)
+            mat = random_complex(rng, d ** k)
+            acc = random_complex(rng, d ** n_sites)
+            expected = acc + scale * embed_matrix(mat, positions, n_sites, d)
+            add_embedded(acc, mat, positions, n_sites, d, scale)
+            assert np.array_equal(acc, expected)
+
+    def test_refuses_a_target_it_cannot_write_through(self, rng):
+        acc = random_complex(rng, 4).T  # Fortran order: a reshape would copy
+        with pytest.raises(OperatorError):
+            add_embedded(acc, np.eye(2), (0,), 2, 2)
+
+
+class TestOperatorNorms:
+    def mixed(self, rng):
+        """Hermitian matrices of three sizes, interleaved, with a
+        non-Hermitian one of two sizes, a 64x64 one larger than a chunk on
+        its own, and a 1x1; together they pass NORM_CHUNK_BYTES many times."""
+        mats = []
+        for i in range(90):
+            dim = (2, 8, 16)[i % 3]
+            a = random_complex(rng, dim)
+            mats.append(a + a.conj().T)
+        mats[4] = random_complex(rng, 8)
+        mats[17] = random_complex(rng, 16)
+        a = random_complex(rng, 64)
+        mats[40:40] = [a + a.conj().T]
+        mats.append(np.array([[-0.5 + 0j]]))
+        assert sum(m.nbytes for m in mats) > 8 * NORM_CHUNK_BYTES
+        return mats
+
+    def test_bitwise_equal_to_operator_norm(self, rng):
+        mats = self.mixed(rng)
+        assert operator_norms(mats) == [operator_norm(m) for m in mats]
+        assert operator_norms(iter(mats)) == [operator_norm(m) for m in mats]
+        assert operator_norms([]) == []
+
+    def test_stacks_at_most_a_chunk(self, rng, monkeypatch):
+        mats = self.mixed(rng)
+        stacked = []
+        real = operators._stacked_norms
+
+        def spy(stack):
+            stacked.append((len(stack), stack.nbytes))
+            return real(stack)
+
+        monkeypatch.setattr(operators, "_stacked_norms", spy)
+        operator_norms(mats)
+        # stacks hold several matrices, and what is held at a time ends at
+        # the first matrix that reaches a chunk
+        assert max(count for count, _ in stacked) > 1
+        assert len(stacked) > 8
+        assert max(size for _, size in stacked) < NORM_CHUNK_BYTES + max(m.nbytes for m in mats)
 
 
 class TestPartialTrace:
