@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, operator_norms
+from .operators import SupportedOperator, add_embedded, embed, expm_hermitian
 from .spin_model import FiniteRange, Hamiltonian, ModelError
 from .clusters import (
     enumerate_connected,
@@ -68,21 +68,31 @@ class ExpansionResult:
         """Where the scalar came from: "ed", "series" or "exact-empty"."""
         return self._scalar_channel[1]
 
-    def boundary_operator(self) -> SupportedOperator:
-        """Sum of the multiplicity-weighted boundary terms on the region."""
+    def _sum_on_region(self, weighted) -> np.ndarray:
+        """Sum of scale * op over (scale, op) pairs, each op added in place
+        onto the region with no identity-padded copy."""
         d, region = self.ham.local_dim, self.region
         acc = np.zeros((d ** len(region), d ** len(region)), dtype=complex)
-        for m, entries in sorted(self.boundary_terms.items()):
-            for cluster, op in entries:
-                positions = [region.index(v) for v in op.support]
-                add_embedded(acc, op.matrix, positions, len(region), d, cluster.multiplicity)
-        return SupportedOperator(region, acc, local_dim=d)
+        for scale, op in weighted:
+            add_embedded(acc, op.matrix, [region.index(v) for v in op.support], len(region), d, scale)
+        return acc
+
+    def boundary_operator(self) -> SupportedOperator:
+        """Sum of the multiplicity-weighted boundary terms on the region."""
+        mat = self._sum_on_region(
+            (cluster.multiplicity, op)
+            for m, entries in sorted(self.boundary_terms.items())
+            for cluster, op in entries
+        )
+        return SupportedOperator(self.region, mat, local_dim=self.ham.local_dim)
 
     def _bare_plus_boundary(self) -> SupportedOperator:
         """H_eff(L) without its scalar channel, which normalizing cancels."""
-        op = self.boundary_operator()
-        mat = op.matrix + sum(embed(t, self.region).matrix for t in self.bare_terms)
-        return SupportedOperator(self.region, mat, local_dim=op.local_dim)
+        # the bare terms are summed on their own first, so every entry gets
+        # the additions, in the order, of summing their padded copies
+        mat = self._sum_on_region((1.0, t) for t in self.bare_terms)
+        mat += self.boundary_operator().matrix
+        return SupportedOperator(self.region, mat, local_dim=self.ham.local_dim)
 
     def effective_operator(self) -> SupportedOperator:
         """Bare terms plus boundary terms plus scalar, on the region."""
@@ -93,10 +103,9 @@ class ExpansionResult:
     def per_order_norms(self) -> dict:
         out = {}
         for m, entries in sorted(self.boundary_terms.items()):
-            norms = operator_norms(op.matrix for _, op in entries)
             total = 0.0
-            for (cluster, _), norm in zip(entries, norms):
-                total += cluster.multiplicity * norm
+            for cluster, op in entries:
+                total += cluster.multiplicity * op.norm()
             out[m] = total
         return out
 
@@ -154,11 +163,7 @@ def effective_hamiltonian(
     rset = set(region)
     comp = _complement(ham, region)
 
-    bare = tuple(
-        embed(t.as_operator(ham.local_dim), tuple(sorted(t.support)))
-        for t in ham.terms
-        if set(t.support) <= rset
-    )
+    bare = tuple(t.as_operator(ham.local_dim) for t in ham.terms if set(t.support) <= rset)
 
     boundary: dict = {}
     moments = MomentTable(ham)
@@ -345,23 +350,13 @@ def cmi_expansion(
     norm_acc = 0.0
     moments = MomentTable(ham)
     for m in range(1, order + 1):
-        weights = []
-
-        def pieces():
-            # each piece is added onto A u B u C as it comes, and handed on
-            # for its norm
-            for cluster in enumerate_linking(ham, a, c, m):
-                piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
-                weight = cluster.multiplicity / math.factorial(m)
-                positions = [target.index(v) for v in piece.support]
-                add_embedded(acc, piece.matrix, positions, len(target), d, -weight)
-                weights.append(weight)
-                yield piece.matrix
-
-        norms = operator_norms(pieces())
         order_sum = 0.0
-        for weight, norm in zip(weights, norms):
-            order_sum += weight * norm
+        for cluster in enumerate_linking(ham, a, c, m):
+            piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
+            weight = cluster.multiplicity / math.factorial(m)
+            positions = [target.index(v) for v in piece.support]
+            add_embedded(acc, piece.matrix, positions, len(target), d, -weight)
+            order_sum += weight * piece.norm()
         per_order[m] = order_sum
         norm_acc += order_sum
     op = SupportedOperator(target, acc, local_dim=ham.local_dim)

@@ -39,63 +39,6 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-# What :func:`operator_norms` holds before it takes a stack of norms.  The
-# work on a stack takes a few times its size, on top of whatever the caller
-# holds at the time, so the chunk is small: on an order-5 CMI expansion of a
-# 4-site chain, 256 KB raised peak RSS by 0.6 MB and 16 KB by 0.1 MB, while
-# 16 KB still cut the eigensolver calls of the power-law CMI by 3.7x.
-NORM_CHUNK_BYTES = 16 * 1024
-
-
-def _stacked_norms(stack: np.ndarray) -> np.ndarray:
-    """:func:`operator_norm` of each matrix of a (k, n, n) stack, n >= 1,
-    with one eigensolver call for all the Hermitian ones."""
-    adjoint = stack.conj().transpose(0, 2, 1)
-    work = stack - adjoint
-    defect = np.abs(work).max(axis=(1, 2))
-    hermitian = defect <= HERMITICITY_TOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    out = np.empty(len(stack))
-    if hermitian.any():
-        np.add(stack, adjoint, out=work)
-        work *= 0.5
-        w = np.linalg.eigvalsh(work if hermitian.all() else work[hermitian])
-        out[hermitian] = np.abs(w).max(axis=1)
-    for i in np.flatnonzero(~hermitian):
-        out[i] = np.linalg.norm(stack[i], 2)
-    return out
-
-
-def operator_norms(matrices) -> list[float]:
-    """:func:`operator_norm` of each nonempty square matrix of an iterable,
-    in order and bitwise the same.
-
-    Matrices of one shape are stacked so that one eigensolver call serves
-    many of them.  At most ``NORM_CHUNK_BYTES`` of matrices are held at a
-    time: the iterable is read lazily, and the pending stacks are taken
-    whenever they reach that size."""
-    norms: list[float] = []
-    pending: dict = {}  # shape -> [(position in norms, matrix)]
-    held = 0
-
-    def take():
-        while pending:
-            where, mats = zip(*pending.popitem()[1])
-            stack = np.stack(mats)
-            del mats  # the matrices are copied; let them go before the work
-            for i, value in zip(where, _stacked_norms(stack)):
-                norms[i] = float(value)
-
-    for mat in matrices:
-        pending.setdefault(mat.shape, []).append((len(norms), mat))
-        norms.append(0.0)
-        held += mat.nbytes
-        if held >= NORM_CHUNK_BYTES:
-            take()
-            held = 0
-    take()
-    return norms
-
-
 @dataclass(frozen=True)
 class SupportedOperator:
     """A dense matrix tagged with the sorted vertex set it acts on."""

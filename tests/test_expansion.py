@@ -23,6 +23,7 @@ from gibbsmarkov.expansion import (
 )
 from gibbsmarkov.operators import (
     SupportedOperator,
+    embed,
     embed_matrix,
     expm_hermitian,
     operator_norm,
@@ -108,6 +109,23 @@ class TestEffectiveHamiltonian:
                 assert set(op.support) <= set(region)
                 # every boundary cluster must reach outside the region
                 assert set(cluster.support) - set(region)
+
+    def test_region_operator_equals_embed_and_sum(self):
+        # the bare and boundary terms are added onto L in place; the
+        # reference pads each with identities and sums the copies
+        ham = random_chain(7, beta=0.5 * BETA_C, seed=13)
+        region = (1, 2, 3)
+        res = effective_hamiltonian(ham, region, order=4)
+        dim = ham.local_dim ** len(region)
+        boundary = np.zeros((dim, dim), dtype=complex)
+        for m, entries in sorted(res.boundary_terms.items()):
+            for cluster, op in entries:
+                boundary += cluster.multiplicity * embed(op, region).matrix
+        bare = sum(embed(t, region).matrix for t in res.bare_terms)
+        assert any(len(t.support) < len(region) for t in res.bare_terms)
+        assert np.array_equal(res.boundary_operator().matrix, boundary)
+        want = boundary + bare + res.scalar_part * np.eye(dim)
+        assert np.array_equal(res.effective_operator().matrix, want)
 
     def test_scalar_channel_provenance(self):
         ham = random_chain(6, beta=0.4 * BETA_C, seed=5)

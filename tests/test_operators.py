@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from gibbsmarkov import operators
 from gibbsmarkov.operators import (
-    NORM_CHUNK_BYTES,
     OperatorError,
     PositivityError,
     SupportedOperator,
@@ -14,7 +12,6 @@ from gibbsmarkov.operators import (
     identity,
     logm_posdef,
     operator_norm,
-    operator_norms,
     partial_trace,
 )
 from gibbsmarkov.spin_model import PAULI
@@ -77,48 +74,6 @@ class TestAddEmbedded:
         acc = random_complex(rng, 4).T  # Fortran order: a reshape would copy
         with pytest.raises(OperatorError):
             add_embedded(acc, np.eye(2), (0,), 2, 2)
-
-
-class TestOperatorNorms:
-    def mixed(self, rng):
-        """Hermitian matrices of three sizes, interleaved, with a
-        non-Hermitian one of two sizes, a 64x64 one larger than a chunk on
-        its own, and a 1x1; together they pass NORM_CHUNK_BYTES many times."""
-        mats = []
-        for i in range(90):
-            dim = (2, 8, 16)[i % 3]
-            a = random_complex(rng, dim)
-            mats.append(a + a.conj().T)
-        mats[4] = random_complex(rng, 8)
-        mats[17] = random_complex(rng, 16)
-        a = random_complex(rng, 64)
-        mats[40:40] = [a + a.conj().T]
-        mats.append(np.array([[-0.5 + 0j]]))
-        assert sum(m.nbytes for m in mats) > 8 * NORM_CHUNK_BYTES
-        return mats
-
-    def test_bitwise_equal_to_operator_norm(self, rng):
-        mats = self.mixed(rng)
-        assert operator_norms(mats) == [operator_norm(m) for m in mats]
-        assert operator_norms(iter(mats)) == [operator_norm(m) for m in mats]
-        assert operator_norms([]) == []
-
-    def test_stacks_at_most_a_chunk(self, rng, monkeypatch):
-        mats = self.mixed(rng)
-        stacked = []
-        real = operators._stacked_norms
-
-        def spy(stack):
-            stacked.append((len(stack), stack.nbytes))
-            return real(stack)
-
-        monkeypatch.setattr(operators, "_stacked_norms", spy)
-        operator_norms(mats)
-        # stacks hold several matrices, and what is held at a time ends at
-        # the first matrix that reaches a chunk
-        assert max(count for count, _ in stacked) > 1
-        assert len(stacked) > 8
-        assert max(size for _, size in stacked) < NORM_CHUNK_BYTES + max(m.nbytes for m in mats)
 
 
 class TestPartialTrace:
