@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .spin_model import Hamiltonian, PowerLaw, SpinGraph, check_beta, g_tilde
+from .spin_model import Hamiltonian, PowerLaw, SpinGraph, ValidationError, check_beta, g_tilde
 from . import ed
 
 
@@ -31,10 +31,16 @@ class BoundReport:
 
 def critical_beta(k: int) -> float:
     """Inverse-temperature threshold 1/(8 e^3 k) below which all expansion
-    certificates are rigorous."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    certificates are rigorous.  A k below 1 raises ``ValidationError``."""
+    _require(k >= 1, f"k must be >= 1, got {k}")
     return 1.0 / (8.0 * math.e ** 3 * k)
+
+
+def _require(ok: bool, message: str) -> None:
+    """Refuse a bound input outside the formula's domain; a nan fails every
+    comparison, so ``ok`` is False for it."""
+    if not ok:
+        raise ValidationError(message)
 
 
 def surface_region(graph: SpinGraph, region, l: int) -> tuple[int, ...]:
@@ -61,10 +67,14 @@ def finite_range_cmi_bound(
         e * min(|dA_r|, |dC_r|) * (beta/beta_c)^(d_AC/r) / (1 - beta/beta_c)
 
     valid below the threshold temperature.  An infinite d_AC (disconnected
-    regions) gives value 0.  A negative or non-finite beta raises
+    regions) gives value 0.  A negative or non-finite beta, an r below 1, a
+    negative min_surface and a negative or nan d_AC raise
     ``ValidationError``.
     """
     check_beta(beta)
+    _require(min_surface >= 0, f"min_surface must be >= 0, got {min_surface}")
+    _require(d_ac >= 0, f"d_ac must be >= 0, got {d_ac}")
+    _require(r >= 1, f"r must be >= 1, got {r}")
     inputs = {
         "min_surface": min_surface,
         "beta": beta,
@@ -93,9 +103,14 @@ def power_law_cmi_bound(
         C_beta = (11 e^(1/k) / beta_c) / (1 - 11 beta / beta_c)
 
     valid for beta < beta_c/11 and d_AC >= 2*alpha.  A negative or
-    non-finite beta raises ``ValidationError``.
+    non-finite beta, a k below 1, an alpha that is not positive (the rule of
+    a power-law model), a negative min_ac and a negative or nan d_AC raise
+    ``ValidationError``.
     """
     check_beta(beta)
+    _require(min_ac >= 0, f"min_ac must be >= 0, got {min_ac}")
+    _require(d_ac >= 0, f"d_ac must be >= 0, got {d_ac}")
+    _require(alpha > 0, f"alpha must be > 0, got {alpha}")
     beta_c = critical_beta(k)
     inputs = {
         "min_ac": min_ac,

@@ -11,6 +11,7 @@ independent reference for the enumerators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,25 +131,42 @@ def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=(), within=None) -> list[
     intersection graph at the anchor (at a seed element when there is none).
     Some leaf is not the root; without it the cluster is still wanted, one
     size smaller, and the leaf meets that smaller support or the anchor.
+
+    Each multiset of a level carries V_w as a bitmask over the vertices, so
+    the terms a level reaches are found once per distinct V_w u anchor and
+    each emitted cluster's support is read off its mask.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = ham.terms
     allowed = [i for i, t in enumerate(terms) if within is None or within.issuperset(t.support)]
+    masks = {i: sum(1 << v for v in terms[i].support) for i in allowed}
     touching: dict[int, list[int]] = {}
     for i in allowed:
         for v in terms[i].support:
             touching.setdefault(v, []).append(i)
-    anchor = set(anchor)
-    level = {(i,) for i in allowed if seeds is None or seeds.intersection(terms[i].support)}
+    anchor_mask = sum(1 << v for v in set(anchor))
+    near: dict[int, set[int]] = {}  # V_w u anchor -> the terms meeting it
+    level = {
+        (i,): masks[i] for i in allowed if seeds is None or seeds.intersection(terms[i].support)
+    }
     for _ in range(m - 1):
-        grown = set()
-        for w in level:
-            reach = anchor.union(*(terms[i].support for i in w))
-            nbrs = {t for v in reach for t in touching.get(v, ())}
-            grown.update(tuple(sorted(w + (t,))) for t in nbrs)
+        grown: dict[tuple[int, ...], int] = {}
+        for w, mask in level.items():
+            reach = mask | anchor_mask
+            nbrs = near.get(reach)
+            if nbrs is None:
+                nbrs = near[reach] = {t for v in _bits(reach) for t in touching.get(v, ())}
+            for t in nbrs:
+                grown.setdefault(tuple(sorted(w + (t,))), mask | masks[t])
         level = grown
-    return [make_cluster(ham, w) for w in sorted(level)]
+    support = functools.cache(_bits)  # clusters on one V_w share its tuple
+    return [Cluster(w, support(level[w])) for w in sorted(level)]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def enumerate_connected_to_region(ham: Hamiltonian, region, m: int):

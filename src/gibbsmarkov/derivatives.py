@@ -23,9 +23,13 @@ sub-multiset share its moment.  One :class:`MomentTable` per expansion call
 memoizes the symmetrized products and the moments, so every cluster and all
 four CMI regions read each of them from one place, along with the
 contraction plans and log-step workspace those reads need; nothing in it
-outlives the call that made it.  An independent exact reference that shares no
-combinatorics with this module lives next to the suite that uses it, in
-:func:`gibbsmarkov.verify.exact_derivative`.
+outlives the call that made it.  A series that knows a whole level of
+clusters up front (log Z and the scalar channel) hands it to
+:meth:`MomentTable.prime`, which forms the level's full-trace moments in
+stacked contractions, bitwise as one by one; the per-cluster
+:func:`cluster_derivative` calls still run and read them.  An independent
+exact reference that shares no combinatorics with this module lives next
+to the suite that uses it, in :func:`gibbsmarkov.verify.exact_derivative`.
 """
 
 from __future__ import annotations
@@ -80,31 +84,20 @@ def _times(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
     return out.reshape(out_shape).transpose(out_axes)
 
 
-def _traced_plan(a_sites, b_sites, kept, d: int):
-    """How :func:`_traced_times` contracts one site pattern: each factor's
-    shape and einsum labels, the output labels, and the kept dimension."""
-    label = iter(range(3 * (len(a_sites) + len(b_sites))))
-    row = {v: next(label) for v in sorted(set(a_sites) | set(b_sites))}
-    col = {v: next(label) if v in kept else row[v] for v in row}
-    mid = {v: next(label) for v in a_sites if v in b_sites}
-    return (
-        (d,) * (2 * len(a_sites)),
-        [row[v] for v in a_sites] + [mid.get(v, col[v]) for v in a_sites],
-        (d,) * (2 * len(b_sites)),
-        [mid.get(v, row[v]) for v in b_sites] + [col[v] for v in b_sites],
-        [row[v] for v in kept] + [col[v] for v in kept],
-        d ** len(kept),
-    )
-
-
-def _traced_times(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
-    """tr_out[(a (x) I) (b (x) I)] on the kept sites of ``plan`` (a
-    :func:`_traced_plan`), tracing the other sites of a's and b's, without
-    forming the product: one contraction over d^(n + |shared| + |kept|)
-    index values on n sites."""
-    a_shape, a_labels, b_shape, b_labels, out_labels, dim = plan
-    out = np.einsum(a.reshape(a_shape), a_labels, b.reshape(b_shape), b_labels, out_labels)
-    return out.reshape(dim, -1)
+def _reduced(mats, n: int, keep: tuple[int, ...], d: int) -> np.ndarray:
+    """The partial traces of operators on n sites each onto the site
+    positions ``keep``, stacked, from one einsum over the stack.  Each
+    operator's trace is summed in the same order whatever the stack's
+    length, so a stack of one gives bitwise what a longer stack gives for
+    that operator."""
+    stack = np.array(mats)
+    if len(keep) == n:
+        return stack
+    # a traced qudit's column label is its row label
+    cols = [n + i if i in keep else i for i in range(n)]
+    out = [..., *keep, *(n + i for i in keep)]
+    traced = np.einsum(stack.reshape((len(stack),) + (d,) * (2 * n)), [..., *range(n), *cols], out)
+    return traced.reshape(len(stack), d ** len(keep), -1)
 
 
 class MomentTable:
@@ -123,11 +116,17 @@ class MomentTable:
 
     tensored with the identity on the sites of K outside V_alpha.  A full
     trace (K disjoint from V_alpha) is cyclic, so each element comes last in
-    1/|alpha| of the orderings and one contraction, without P(alpha), does,
+    1/|alpha| of the orderings and P(alpha) is never formed for it,
 
-        tr P(alpha) = |alpha| tr(P(alpha - e) h_e),
+        tr P(alpha) = |alpha| tr(P(alpha - e) h_e) = |alpha| sum_ij A_ij B_ji,
 
-    with e chosen so that alpha - e stays connected and its product stored.
+    with e chosen so that alpha - e stays connected and its product stored,
+    and A, B the partial traces of P(alpha - e) and h_e onto the sites they
+    share.  :meth:`prime` takes these moments for a whole level of clusters
+    at once, one stacked partial trace per size and site pattern; a lone
+    miss in :meth:`moment` runs the same kernel on a stack of one.  Each
+    stacked operator is summed in the same order whatever the stack's
+    length, so the moment does not depend on the batch it was formed in.
     A partial trace is not cyclic, so a kept moment is one partial trace of
     P(alpha) itself.  The products of proper sub-multisets of a cluster are
     the building blocks of its own product, so they are stored anyway; the
@@ -145,8 +144,8 @@ class MomentTable:
 
     Besides the entries, the table holds what does not change between
     clusters: V_alpha and the components of each alpha, computed once; the
-    contraction plan (:func:`_times_plan`, :func:`_traced_plan`) of each
-    site pattern a product or moment meets, built once; the held product;
+    contraction plan (:func:`_times_plan`) of each site pattern a product
+    meets, built once; the held product;
     and the block matrix of :func:`cluster_derivative`'s log step, one per
     cluster size and kept dimension.  The last two make a table serve one
     thread at a time.
@@ -279,23 +278,63 @@ class MomentTable:
         elif own != kept:
             base = self.moment(alpha, own)
             hit = embed_matrix(base, [kept.index(v) for v in own], len(kept), d)
-        else:
+        elif own or m == 1:
             coeff = (-self.ham.beta) ** m / math.factorial(m) / d ** (len(support) - len(own))
-            if own or m == 1:
-                prod = self._product(alpha, hold=True)[1]
-                keep = [support.index(v) for v in own]
-                traced = trace_out(prod, keep, len(support), d)
-            else:
-                # a full trace is cyclic, so every element comes last in 1/m
-                # of the orderings: tr P(alpha) = m tr(P(alpha - e) h_e)
-                pos = self._last(alpha)
-                sites, rest = self._product(alpha[:pos] + alpha[pos + 1:])
-                term = self.ham.terms[alpha[pos]]
-                plan = self._plan(_traced_plan, sites, term.support, own)
-                traced = m * _traced_times(rest, term.matrix, plan)
-            hit = coeff * traced
+            prod = self._product(alpha, hold=True)[1]
+            keep = [support.index(v) for v in own]
+            hit = coeff * trace_out(prod, keep, len(support), d)
+        else:
+            self._full_traces([alpha], column)
+            return column[alpha]
         column[alpha] = hit
         return hit
+
+    def _full_traces(self, alphas, column: dict) -> None:
+        """Store W(alpha, ()) in ``column`` for connected alphas of two or
+        more elements.  A full trace is cyclic, so every element comes last
+        in 1/m of the orderings: tr P(alpha) = m tr(P(alpha - e) h_e), with
+        e from :meth:`_last`, and that trace is sum_ij A_ij B_ji for the
+        partial traces A of P(alpha - e) and B of h_e onto the sites they
+        share.  Alphas of one size and site pattern take A and B in one
+        stacked :func:`_reduced` each, so a lone alpha gets bitwise the
+        moment it gets among many."""
+        d, beta, terms = self.ham.local_dim, self.ham.beta, self.ham.terms
+        groups: dict = {}
+        for alpha in alphas:
+            pos = self._last(alpha)
+            sites, rest = self._product(alpha[:pos] + alpha[pos + 1:])
+            term = terms[alpha[pos]]
+            keep = tuple(p for p, v in enumerate(sites) if v in term.support)
+            term_keep = tuple(p for p, v in enumerate(term.support) if v in sites)
+            key = len(alpha), len(sites), keep, len(term.support), term_keep
+            groups.setdefault(key, []).append((alpha, rest, term.matrix))
+        for (m, n, keep, k, term_keep), items in groups.items():
+            # m (-beta)^m / m! / d^|V_alpha|, with |V_alpha| = n + k - |keep|
+            scale = (-beta) ** m / math.factorial(m - 1) / d ** (n + k - len(keep))
+            step = max(1, (1 << 20) // items[0][1].nbytes)  # stacks of at most ~1 MB
+            for lo in range(0, len(items), step):
+                chunk, rests, ops = zip(*items[lo:lo + step])
+                left, right = _reduced(rests, n, keep, d), _reduced(ops, k, term_keep, d)
+                traces = np.einsum("...ij,...ji->...", left, right)
+                traces *= scale
+                column.update(zip(chunk, traces.reshape(-1, 1, 1)))
+
+    def prime(self, clusters) -> None:
+        """Fill the full-trace moments of the connected ``clusters`` of one
+        level, stacked by site pattern (:meth:`_full_traces`), taking each
+        V_w from ``cluster.support``.  The per-cluster
+        :func:`cluster_derivative` calls that follow read them from the
+        table."""
+        column = self._moments.setdefault((), {})
+        misses = []
+        for cluster in clusters:
+            alpha = cluster.term_indices
+            if alpha not in self._shapes:
+                support = self._supports.setdefault(cluster.support, cluster.support)
+                self._shapes[alpha] = support, ()
+            if len(alpha) > 1 and alpha not in column:
+                misses.append(alpha)
+        self._full_traces(misses, column)
 
     def _subset_moments(self, term_indices, kept) -> list[np.ndarray]:
         """W(alpha, kept) for the sub-multisets alpha that the nonempty

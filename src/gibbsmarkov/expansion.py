@@ -134,7 +134,11 @@ def _scalar_series(ham: Hamiltonian, region, order: int) -> float:
     value = len(sub) * math.log(ham.local_dim)
     moments = MomentTable(ham)
     for m in range(1, order + 1):
-        for cluster in enumerate_connected(ham, m, within=sub):
+        level = list(enumerate_connected(ham, m, within=sub))
+        # the level's own moments in stacked contractions; the per-cluster
+        # derivatives below then read them from the table
+        moments.prime(level)
+        for cluster in level:
             sigma = cluster_derivative(ham, cluster, (), moments=moments)
             weight = cluster.multiplicity / math.factorial(m)
             value += weight * float(sigma[0, 0].real)
@@ -161,7 +165,6 @@ def effective_hamiltonian(
         raise ModelError("effective-Hamiltonian assembly requires a finite-range model")
     region = tuple(sorted(set(map(int, region))))
     rset = set(region)
-    comp = _complement(ham, region)
 
     bare = tuple(t.as_operator(ham.local_dim) for t in ham.terms if set(t.support) <= rset)
 
@@ -170,7 +173,7 @@ def effective_hamiltonian(
     for m in range(1, order + 1):
         entries = []
         for cluster in enumerate_connected_to_region(ham, region, m):
-            if not (set(cluster.support) & set(comp)):
+            if rset.issuperset(cluster.support):
                 continue  # interior clusters are exactly the bare terms
             dmat = cluster_derivative(ham, cluster, region, moments=moments)
             kept = tuple(v for v in cluster.support if v in rset)

@@ -33,7 +33,7 @@ class TestCriticalBeta:
         assert critical_beta(2) == pytest.approx(3.1117e-3, rel=1e-3)
 
     def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             critical_beta(0)
 
 
@@ -106,8 +106,23 @@ class TestFiniteRangeBound:
         rep = finite_range_cmi_bound(1, 0.0, critical_beta(2), 4.0, 1)
         assert rep.value == 0.0 and rep.valid
 
+    @pytest.mark.parametrize("min_surface, d_ac, r", [
+        (-2, 4.0, 1), (1, -3.0, 1), (1, math.nan, 1), (1, 4.0, 0),
+    ])
+    def test_rejects_inputs_outside_the_formula(self, min_surface, d_ac, r):
+        with pytest.raises(ValidationError):
+            finite_range_cmi_bound(min_surface, 0.5 * critical_beta(2), critical_beta(2), d_ac, r)
+
 
 class TestPowerLawBound:
+    @pytest.mark.parametrize("min_ac, k, alpha, d_ac", [
+        (-1, 2, 2.0, 4.0), (1, 0, 2.0, 4.0), (1, 2, 0.0, 4.0), (1, 2, math.nan, 4.0),
+        (1, 2, 2.0, -3.0), (1, 2, 2.0, math.nan),
+    ])
+    def test_rejects_inputs_outside_the_formula(self, min_ac, k, alpha, d_ac):
+        with pytest.raises(ValidationError):
+            power_law_cmi_bound(min_ac, 1e-5, k, alpha, d_ac)
+
     def test_arithmetic(self):
         bc = critical_beta(2)
         beta = bc / 22.0

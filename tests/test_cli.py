@@ -196,6 +196,13 @@ class TestSubcommands:
         ["logz", "--model", "negative-beta"],
         ["bound", "--kind", "both", "--beta", "-1"],
         ["bound", "--kind", "both", "--beta", "nan"],
+        ["bound", "--kind", "both", "--k", "0"],
+        ["bound", "--kind", "both", "--r", "0"],
+        ["bound", "--kind", "both", "--d-ac", "-3"],
+        ["bound", "--kind", "both", "--d-ac", "nan"],
+        ["bound", "--kind", "both", "--min-surface", "-2"],
+        ["bound", "--kind", "both", "--min-ac", "-1"],
+        ["bound", "--kind", "both", "--alpha", "0"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"

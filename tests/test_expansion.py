@@ -7,7 +7,7 @@ import pytest
 
 from gibbsmarkov import ed, expansion
 from gibbsmarkov.bounds import critical_beta
-from gibbsmarkov.clusters import enumerate_linking
+from gibbsmarkov.clusters import enumerate_connected, enumerate_linking
 from gibbsmarkov.derivatives import cluster_derivative
 from gibbsmarkov.expansion import (
     cmi_expansion,
@@ -28,7 +28,7 @@ from gibbsmarkov.operators import (
     expm_hermitian,
     operator_norm,
 )
-from gibbsmarkov.random_models import random_chain, tfi_chain
+from gibbsmarkov.random_models import random_chain, random_grid, tfi_chain
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
 
 BETA_C = critical_beta(2)
@@ -135,6 +135,29 @@ class TestEffectiveHamiltonian:
         assert by_series.scalar_provenance == "series"
         # both scalar channels target log Z of the complement
         assert by_series.scalar_part == pytest.approx(by_ed.scalar_part, rel=1e-6)
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_chain(9, beta=0.5 * BETA_C, seed=7),
+        lambda: random_grid(3, 3, beta=0.5 * BETA_C, seed=7),
+    ], ids=["chain9", "grid3x3"])
+    def test_series_scalar_channel_on_a_split_complement(self, build):
+        # L is the centre vertex, so L^c lies on both sides of it (two
+        # pieces on the chain, a ring on the grid)
+        ham, order = build(), 3
+        res = effective_hamiltonian(ham, (4,), order, ed_limit=0)
+        assert res.scalar_provenance == "series"
+        comp = tuple(v for v in range(ham.graph.vertex_count) if v != 4)
+        log_z = len(comp) * math.log(ham.local_dim)
+        for m in range(1, order + 1):
+            for c in enumerate_connected(ham, m, within=comp):
+                dw = cluster_derivative(ham, c, ())  # a private table per cluster
+                log_z += c.multiplicity / math.factorial(m) * float(dw[0, 0].real)
+        assert res.scalar_part == pytest.approx(-log_z / ham.beta, rel=1e-12)
+        by_ed = effective_hamiltonian(ham, (4,), order)
+        assert by_ed.scalar_provenance == "ed"
+        x = ham.beta / critical_beta(ham.k)
+        cert = math.e / 4 * x ** (order + 1) / (1 - x) * len(comp) / ham.beta
+        assert abs(res.scalar_part - by_ed.scalar_part) <= cert
 
     def test_scalar_channel_runs_only_when_read_and_once(self, monkeypatch):
         ham = random_chain(6, beta=0.5 * BETA_C, seed=19)
