@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -48,10 +47,7 @@ def _vertex_list(text: str, ham) -> tuple[int, ...]:
         vertices = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ModelError(f"bad vertex list {text!r}: expected comma-separated integers") from None
-    n = ham.graph.vertex_count
-    outside = [v for v in vertices if not 0 <= v < n]
-    if outside:
-        raise ModelError(f"vertex {outside[0]} in {text!r} is not in the graph (0..{n - 1})")
+    ham.graph.check_regions(vertices)
     return vertices
 
 
@@ -274,11 +270,7 @@ def cmd_cmi(args) -> int:
     a = _vertex_list(args.A, ham)
     b = _vertex_list(args.B, ham)
     c = _vertex_list(args.C, ham)
-    named = ((a, "--A"), (b, "--B"), (c, "--C"))
-    for (x, x_flag), (y, y_flag) in itertools.combinations(named, 2):
-        shared = sorted(set(x) & set(y))
-        if shared:
-            raise ModelError(f"regions must be disjoint: vertex {shared[0]} is in {x_flag} and {y_flag}")
+    ham.graph.check_regions(a, b, c)
     order = _pick_order(ham, args)
     st = None
     if ham.graph.vertex_count <= args.ed_limit:

@@ -23,10 +23,13 @@ sub-multiset share its moment.  One :class:`MomentTable` per expansion call
 memoizes the symmetrized products and the moments, so every cluster and all
 four CMI regions read each of them from one place, along with the
 contraction plans and log-step workspace those reads need; nothing in it
-outlives the call that made it.  A series that knows a whole level of
-clusters up front (log Z and the scalar channel) hands it to
-:meth:`MomentTable.prime`, which forms the level's full-trace moments in
-stacked contractions, bitwise as one by one; the per-cluster
+outlives the call that made it.  Every partial trace here, of a kept
+moment or of the stacked factors of full ones, is one
+:func:`~gibbsmarkov.operators.trace_out`, and every identity padding one
+:func:`~gibbsmarkov.operators.add_embedded`.  A series that knows a whole
+level of clusters up front (log Z and the scalar channel) hands it to
+:meth:`MomentTable.prime`, which forms the level's full-trace moments from
+stacked partial traces, bitwise as one by one; the per-cluster
 :func:`cluster_derivative` calls still run and read them.  An independent
 exact reference that shares no combinatorics with this module lives next
 to the suite that uses it, in :func:`gibbsmarkov.verify.exact_derivative`.
@@ -84,22 +87,6 @@ def _times(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
     return out.reshape(out_shape).transpose(out_axes)
 
 
-def _reduced(mats, n: int, keep: tuple[int, ...], d: int) -> np.ndarray:
-    """The partial traces of operators on n sites each onto the site
-    positions ``keep``, stacked, from one einsum over the stack.  Each
-    operator's trace is summed in the same order whatever the stack's
-    length, so a stack of one gives bitwise what a longer stack gives for
-    that operator."""
-    stack = np.array(mats)
-    if len(keep) == n:
-        return stack
-    # a traced qudit's column label is its row label
-    cols = [n + i if i in keep else i for i in range(n)]
-    out = [..., *keep, *(n + i for i in keep)]
-    traced = np.einsum(stack.reshape((len(stack),) + (d,) * (2 * n)), [..., *range(n), *cols], out)
-    return traced.reshape(len(stack), d ** len(keep), -1)
-
-
 class MomentTable:
     """Symmetrized products and traced moments of sub-multisets of terms,
     memoized for the cluster derivatives of one expansion call.
@@ -123,16 +110,17 @@ class MomentTable:
     with e chosen so that alpha - e stays connected and its product stored,
     and A, B the partial traces of P(alpha - e) and h_e onto the sites they
     share.  :meth:`prime` takes these moments for a whole level of clusters
-    at once, one stacked partial trace per size and site pattern; a lone
-    miss in :meth:`moment` runs the same kernel on a stack of one.  Each
-    stacked operator is summed in the same order whatever the stack's
-    length, so the moment does not depend on the batch it was formed in.
-    A partial trace is not cyclic, so a kept moment is one partial trace of
-    P(alpha) itself.  The products of proper sub-multisets of a cluster are
-    the building blocks of its own product, so they are stored anyway; the
-    product of the cluster being differentiated is held in a single slot
-    instead, where every kept region of that cluster (the four of a CMI
-    term) reads it, and the next cluster's product replaces it.
+    at once, one stacked :func:`~gibbsmarkov.operators.trace_out` per size
+    and site pattern; a lone miss in :meth:`moment` runs the same kernel on
+    a stack of one.  ``trace_out`` sums each stacked operator in the same
+    order whatever the stack's length, so the moment does not depend on the
+    batch it was formed in.  A partial trace is not cyclic, so a kept moment
+    is one ``trace_out`` of P(alpha) itself.  The products of proper
+    sub-multisets of a cluster are the building blocks of its own product,
+    so they are stored anyway; the product of the cluster being
+    differentiated is held in a single slot instead, where every kept region
+    of that cluster (the four of a CMI term) reads it, and the next
+    cluster's product replaces it.
 
     When the supports of alpha fall apart into components alpha_1 ... alpha_c
     (each connected), their terms commute across components, so
@@ -145,11 +133,10 @@ class MomentTable:
     Besides the entries, the table holds what does not change between
     clusters: V_alpha and the components of each alpha, computed once; the
     contraction plan (:func:`_times_plan`) of each site pattern a product
-    meets, built once; the held product;
-    and the block matrix of :func:`cluster_derivative`'s log step, one per
-    cluster size and kept dimension.  The last two make a table serve one
-    thread at a time.
-    All of it goes with the table.
+    meets, built once; the held product; and the block matrix of
+    :func:`cluster_derivative`'s log step, one per cluster size and kept
+    dimension.  The last two make a table serve one thread at a time.  All
+    of it goes with the table.
     """
 
     def __init__(self, ham: Hamiltonian):
@@ -162,18 +149,19 @@ class MomentTable:
         self._blocks: dict = {}
         self._held: tuple = ((), None)  # (alpha, (V_alpha, P(alpha))), not stored
 
-    def _plan(self, build, a_sites, b_sites, sites):
-        """``build``'s plan for a site pattern, made once.  A plan depends
-        only on how the sites order and overlap, so patterns that differ by
-        a shift of every vertex id (a translate on a chain) share one."""
+    def _plan(self, a_sites, b_sites, sites):
+        """The :func:`_times_plan` of a site pattern, made once.  A plan
+        depends only on how the sites order and overlap, so patterns that
+        differ by a shift of every vertex id (a translate on a chain) share
+        one."""
         base = min(a_sites + b_sites, default=0)
         a_sites = tuple([v - base for v in a_sites])
         b_sites = tuple([v - base for v in b_sites])
         sites = tuple([v - base for v in sites])
-        key = build, a_sites, b_sites, sites
+        key = a_sites, b_sites, sites
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = build(a_sites, b_sites, sites, self.ham.local_dim)
+            plan = self._plans[key] = _times_plan(a_sites, b_sites, sites, self.ham.local_dim)
         return plan
 
     def _shape(self, alpha) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -238,7 +226,7 @@ class MomentTable:
             for part in parts[1:]:
                 part_sites, part_prod = self._product(part)
                 joint = tuple(sorted(sites + part_sites))
-                plan = self._plan(_times_plan, sites, part_sites, joint)
+                plan = self._plan(sites, part_sites, joint)
                 prod = _times(prod, part_prod, plan).reshape(d ** len(joint), -1)
                 sites = joint
             count = math.factorial(len(alpha))
@@ -250,7 +238,7 @@ class MomentTable:
         else:
             prod = np.zeros((d,) * (2 * len(support)), dtype=complex)
             for count, sites, rest, term in self._steps(alpha):
-                plan = self._plan(_times_plan, sites, term.support, support)
+                plan = self._plan(sites, term.support, support)
                 step = _times(rest, term.matrix, plan)
                 prod += count * step if count > 1 else step
             hit = support, prod.reshape(d ** len(support), -1)
@@ -296,8 +284,8 @@ class MomentTable:
         e from :meth:`_last`, and that trace is sum_ij A_ij B_ji for the
         partial traces A of P(alpha - e) and B of h_e onto the sites they
         share.  Alphas of one size and site pattern take A and B in one
-        stacked :func:`_reduced` each, so a lone alpha gets bitwise the
-        moment it gets among many."""
+        stacked :func:`~gibbsmarkov.operators.trace_out` each, so a lone
+        alpha gets bitwise the moment it gets among many."""
         d, beta, terms = self.ham.local_dim, self.ham.beta, self.ham.terms
         groups: dict = {}
         for alpha in alphas:
@@ -314,7 +302,8 @@ class MomentTable:
             step = max(1, (1 << 20) // items[0][1].nbytes)  # stacks of at most ~1 MB
             for lo in range(0, len(items), step):
                 chunk, rests, ops = zip(*items[lo:lo + step])
-                left, right = _reduced(rests, n, keep, d), _reduced(ops, k, term_keep, d)
+                left = trace_out(np.array(rests), keep, n, d)
+                right = trace_out(np.array(ops), term_keep, k, d)
                 traces = np.einsum("...ij,...ji->...", left, right)
                 traces *= scale
                 column.update(zip(chunk, traces.reshape(-1, 1, 1)))
@@ -453,7 +442,11 @@ def cluster_derivative(
     instead of the block products.
 
     When nothing is traced, G = -beta sum_j a_j h_j is linear, so D_w G is
-    -beta h_j at m = 1 and zero at m >= 2; no moment is formed.
+    -beta h_j at m = 1 and zero at m >= 2; no moment is formed.  Nor is one
+    when the supports of w fall apart: the components act on disjoint
+    sites, so the traced weight is a tensor product, G is a sum of one
+    term per component, and every mixed derivative across two components
+    is exactly zero (the vanishing lemma).
     """
     d, m = ham.local_dim, cluster.size
     kept_set = set(kept_region)
@@ -465,6 +458,8 @@ def cluster_derivative(
         return np.zeros((dim, dim), dtype=complex)
     if moments is None:
         moments = MomentTable(ham)
+    if moments._shape(cluster.term_indices)[1]:
+        return np.zeros((dim, dim), dtype=complex)
     _, _, s, t, b, starts = _subset_layout(m)
     n = 1 << m
     weights = np.empty((n, dim, dim), dtype=complex)

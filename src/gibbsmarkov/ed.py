@@ -11,7 +11,7 @@ Taylor polynomial, taken by scaling and squaring (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179 (2005)) with its degree and scaling set by the norm
 bound ||beta H|| <= beta * sum_j ||h_j||.  The dense Hamiltonian is summed in
 place, each term added through a diagonal view of the (d,)^{2n} tensor
-(:func:`~gibbsmarkov.operators.add_embedded`).
+(:func:`~gibbsmarkov.operators.sum_embedded`).
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 
 from .operators import (
     SupportedOperator,
-    add_embedded,
     embed,
     logm_posdef,
     partial_trace,
+    sum_embedded,
 )
 from .spin_model import Hamiltonian
 
@@ -52,24 +52,10 @@ class ExactGibbs:
         return self.hamiltonian.beta
 
 
-def _term_sum_matrix(terms, sites, local_dim: int) -> np.ndarray:
-    """Dense sum of ``terms`` (each supported inside the sorted ``sites``) on
-    the qudits of ``sites``, each added in place by
-    :func:`~gibbsmarkov.operators.add_embedded`, so no d^n x d^n embedding
-    of a term is formed."""
-    n = len(sites)
-    position = {v: p for p, v in enumerate(sites)}
-    dim = local_dim ** n
-    total = np.zeros((dim, dim), dtype=complex)
-    for term in terms:
-        add_embedded(total, term.matrix, [position[v] for v in term.support], n, local_dim)
-    return total
-
-
 def hamiltonian_matrix(ham: Hamiltonian) -> SupportedOperator:
     """The full Hamiltonian as a dense operator on all vertices."""
     support = tuple(range(ham.graph.vertex_count))
-    mat = _term_sum_matrix(ham.terms, support, ham.local_dim)
+    mat = sum_embedded(((1.0, t) for t in ham.terms), support, ham.local_dim)
     return SupportedOperator(support, mat, local_dim=ham.local_dim)
 
 
@@ -147,13 +133,8 @@ def entropy(op: SupportedOperator) -> float:
 
 def reduced_density(st: ExactGibbs, region) -> SupportedOperator:
     region = tuple(sorted(set(int(v) for v in region)))
+    st.hamiltonian.graph.check_regions(region)
     return partial_trace(st.rho, region)
-
-
-def region_entropy(st: ExactGibbs, region) -> float:
-    if not region:
-        return 0.0
-    return entropy(reduced_density(st, region))
 
 
 def _entropy_deficit(st: ExactGibbs, region) -> float:
@@ -188,8 +169,7 @@ def exact_cmi(st: ExactGibbs, a_region, b_region, c_region) -> float:
     the difference of O(|X| log d) numbers.
     """
     a, b, c = (tuple(sorted(set(map(int, r)))) for r in (a_region, b_region, c_region))
-    if set(a) & set(b) or set(b) & set(c) or set(a) & set(c):
-        raise ValueError("regions must be pairwise disjoint")
+    st.hamiltonian.graph.check_regions(a, b, c)
     return (
         _entropy_deficit(st, a + b + c)
         + _entropy_deficit(st, b)

@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import SupportedOperator, add_embedded, embed, expm_hermitian
-from .spin_model import FiniteRange, Hamiltonian, ModelError
+from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, sum_embedded
+from .spin_model import FiniteRange, Hamiltonian, ModelError, ValidationError
 from .clusters import (
     enumerate_connected,
     enumerate_connected_to_region,
@@ -68,21 +68,16 @@ class ExpansionResult:
         """Where the scalar came from: "ed", "series" or "exact-empty"."""
         return self._scalar_channel[1]
 
-    def _sum_on_region(self, weighted) -> np.ndarray:
-        """Sum of scale * op over (scale, op) pairs, each op added in place
-        onto the region with no identity-padded copy."""
-        d, region = self.ham.local_dim, self.region
-        acc = np.zeros((d ** len(region), d ** len(region)), dtype=complex)
-        for scale, op in weighted:
-            add_embedded(acc, op.matrix, [region.index(v) for v in op.support], len(region), d, scale)
-        return acc
-
     def boundary_operator(self) -> SupportedOperator:
         """Sum of the multiplicity-weighted boundary terms on the region."""
-        mat = self._sum_on_region(
-            (cluster.multiplicity, op)
-            for m, entries in sorted(self.boundary_terms.items())
-            for cluster, op in entries
+        mat = sum_embedded(
+            (
+                (cluster.multiplicity, op)
+                for m, entries in sorted(self.boundary_terms.items())
+                for cluster, op in entries
+            ),
+            self.region,
+            self.ham.local_dim,
         )
         return SupportedOperator(self.region, mat, local_dim=self.ham.local_dim)
 
@@ -90,7 +85,7 @@ class ExpansionResult:
         """H_eff(L) without its scalar channel, which normalizing cancels."""
         # the bare terms are summed on their own first, so every entry gets
         # the additions, in the order, of summing their padded copies
-        mat = self._sum_on_region((1.0, t) for t in self.bare_terms)
+        mat = sum_embedded(((1.0, t) for t in self.bare_terms), self.region, self.ham.local_dim)
         mat += self.boundary_operator().matrix
         return SupportedOperator(self.region, mat, local_dim=self.ham.local_dim)
 
@@ -121,6 +116,11 @@ def truncation_certificate(ham: Hamiltonian, region, order: int) -> tuple[float,
         value = (math.e / (4.0 * ham.beta)) * x ** (order + 1) / (1.0 - x) * surf
         return value, True
     return math.inf, False
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValidationError(f"order must be >= 0, got {order}")
 
 
 def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
@@ -159,11 +159,11 @@ def effective_hamiltonian(
     Normalized results (reduced states, observables, entropies) cancel it
     and never compute it.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_order(order)
     if not isinstance(ham.interaction_class, FiniteRange):
         raise ModelError("effective-Hamiltonian assembly requires a finite-range model")
     region = tuple(sorted(set(map(int, region))))
+    ham.graph.check_regions(region)
     rset = set(region)
 
     bare = tuple(t.as_operator(ham.local_dim) for t in ham.terms if set(t.support) <= rset)
@@ -205,7 +205,7 @@ def _complement_log_z_ed(ham: Hamiltonian, comp) -> float:
     sorted vertex tuple comp."""
     cset = set(comp)
     inside = [t for t in ham.terms if set(t.support) <= cset]
-    w = np.linalg.eigvalsh(ed._term_sum_matrix(inside, comp, ham.local_dim))
+    w = np.linalg.eigvalsh(sum_embedded(((1.0, t) for t in inside), comp, ham.local_dim))
     shifted = -ham.beta * (w - w[0])
     return float(np.log(np.exp(shifted).sum()) - ham.beta * w[0])
 
@@ -226,6 +226,7 @@ def log_partition_function(ham: Hamiltonian, order: int) -> tuple[float, float, 
 
     Returns (value, certificate, certificate_valid).
     """
+    _check_order(order)
     n = ham.graph.vertex_count
     value = _scalar_series(ham, range(n), order)
     cert, valid = log_z_certificate(ham, order)
@@ -267,6 +268,7 @@ def local_observable(
     Returns (value, error_certificate, certificate_valid); the certificate is
     ||obs|| times the trace-distance guarantee of the reduced state.
     """
+    ham.graph.check_regions(obs.support)
     region = set(int(v) for v in obs.support)
     if pad > 0:
         region |= {
@@ -346,6 +348,8 @@ def cmi_expansion(
     a = tuple(sorted(set(map(int, a_region))))
     b = tuple(sorted(set(map(int, b_region))))
     c = tuple(sorted(set(map(int, c_region))))
+    ham.graph.check_regions(a, b, c)
+    _check_order(order)
     target = tuple(sorted(set(a) | set(b) | set(c)))
     d = ham.local_dim
     acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)

@@ -8,7 +8,6 @@ permutations derive from that single rule.
 from __future__ import annotations
 
 import functools
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,19 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
 
 
+def is_hermitian_matrix(matrix: np.ndarray) -> bool:
+    """Hermitian to within HERMITICITY_TOL times the largest entry, or
+    absolutely when every entry is below 1."""
+    if matrix.size == 0:
+        return True
+    return hermiticity_defect(matrix) <= HERMITICITY_TOL * max(1.0, float(np.abs(matrix).max()))
+
+
 def operator_norm(matrix: np.ndarray) -> float:
     """Spectral norm, via Hermitian eigensolve when possible."""
     if matrix.size == 0:
         return 0.0
-    if hermiticity_defect(matrix) <= HERMITICITY_TOL * max(1.0, np.abs(matrix).max()):
+    if is_hermitian_matrix(matrix):
         w = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
         return float(np.max(np.abs(w)))
     return float(np.linalg.norm(matrix, 2))
@@ -67,55 +74,18 @@ class SupportedOperator:
     def norm(self) -> float:
         return operator_norm(self.matrix)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return hermiticity_defect(self.matrix) <= tol * max(1.0, np.abs(self.matrix).max() if self.matrix.size else 1.0)
+    def is_hermitian(self) -> bool:
+        return is_hermitian_matrix(self.matrix)
 
     def require_hermitian(self, what: str = "operator"):
         if not self.is_hermitian():
             raise OperatorError(f"{what} is not Hermitian (defect {hermiticity_defect(self.matrix):.3e})")
 
 
-def identity(support, local_dim: int = 2) -> SupportedOperator:
-    support = tuple(sorted(support))
-    dim = local_dim ** len(support)
-    return SupportedOperator(support, np.eye(dim, dtype=complex), local_dim)
-
-
 # The plans below depend only on positions within a support and on its
 # size, so the caches are bounded by the patterns the local geometry
 # produces; the bound only stops pathological callers from growing them.
 _PLAN_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _embed_plan(positions: tuple, n_sites: int, d: int):
-    """(d^k, d^(n-k), axes) of :func:`embed_matrix`, with axes None when no
-    permutation is needed."""
-    rest = [p for p in range(n_sites) if p not in positions]
-    order = list(positions) + rest  # axis j of mat (x) I lives at target site order[j]
-    axes = None
-    if order != list(range(n_sites)):
-        inv = np.argsort(order)
-        axes = tuple(int(i) for i in inv) + tuple(int(i) + n_sites for i in inv)
-    return d ** len(positions), d ** len(rest), axes
-
-
-def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray:
-    """Embed ``mat`` (acting on the qudits listed in ``positions``, in that
-    order) into an ``n_sites``-qudit space, identity elsewhere.
-
-    ``positions`` need not be sorted; the result respects the target ordering
-    0..n_sites-1.
-    """
-    dk, dr, axes = _embed_plan(tuple(positions), n_sites, d)
-    # the Kronecker product mat (x) I, without np.kron's overhead
-    full = (mat.reshape(dk, 1, dk, 1) * np.eye(dr, dtype=complex).reshape(1, dr, 1, dr))
-    full = full.reshape(dk * dr, dk * dr)
-    if axes is None:
-        return full
-    t = full.reshape((d,) * (2 * n_sites)).transpose(axes)
-    dim = d ** n_sites
-    return np.ascontiguousarray(t.reshape(dim, dim))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -133,8 +103,10 @@ def _diagonal_labels(positions: tuple, n_sites: int):
 
 def add_embedded(acc: np.ndarray, mat: np.ndarray, positions, n_sites: int, d: int,
                  scale: complex = 1.0) -> None:
-    """acc += scale * embed_matrix(mat, positions, n_sites, d), in place,
-    without forming the embedding.
+    """acc += scale * (mat (x) I), in place, without forming the embedding:
+    ``mat`` acts on the qudits listed in ``positions``, in that order (they
+    need not be sorted), and the identity on the other qudits of the
+    ``n_sites``, whose ordering is 0..n_sites-1.
 
     ``acc`` is a C-contiguous d^n x d^n array, n = ``n_sites``.  An einsum
     of its (d,)^{2n} tensor that pairs the row and column index of every
@@ -156,6 +128,29 @@ def add_embedded(acc: np.ndarray, mat: np.ndarray, positions, n_sites: int, d: i
     view += scale * mat.reshape((d,) * (2 * len(positions)) + (1,) * n_rest)
 
 
+def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray:
+    """``mat`` on the qudits listed in ``positions`` tensored with the
+    identity on the other qudits of ``n_sites``: zeros plus
+    :func:`add_embedded`."""
+    dim = d ** n_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    add_embedded(out, mat, positions, n_sites, d)
+    return out
+
+
+def sum_embedded(weighted, sites, d: int) -> np.ndarray:
+    """The dense sum of scale * op over the (scale, op) pairs ``weighted`` on
+    the sorted vertex tuple ``sites``.  Each op, anything with a ``support``
+    inside ``sites`` and a ``matrix``, is added in place by
+    :func:`add_embedded`, so no identity-padded copy is formed."""
+    n = len(sites)
+    position = {v: p for p, v in enumerate(sites)}
+    acc = np.zeros((d ** n, d ** n), dtype=complex)
+    for scale, op in weighted:
+        add_embedded(acc, op.matrix, [position[v] for v in op.support], n, d, scale)
+    return acc
+
+
 def embed(a: SupportedOperator, target_support) -> SupportedOperator:
     """Tensor ``a`` with identities so it acts on ``target_support``."""
     target = tuple(sorted(set(int(v) for v in target_support)))
@@ -169,36 +164,30 @@ def embed(a: SupportedOperator, target_support) -> SupportedOperator:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _trace_subscripts(keep: frozenset, n_sites: int) -> str:
-    """The einsum subscripts of :func:`trace_out`."""
-    letters = string.ascii_letters
-    if 2 * n_sites > len(letters):
-        raise OperatorError("support too large for partial trace")
-    it = iter(letters)
-    row, col, out_row, out_col = [], [], [], []
-    for p in range(n_sites):
-        r = next(it)
-        row.append(r)
-        if p in keep:
-            c = next(it)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            col.append(r)
-    return "".join(row + col) + "->" + "".join(out_row + out_col)
+def _trace_labels(keep: tuple, n_sites: int):
+    """(input labels, output labels) of the einsum in :func:`trace_out`: a
+    traced qudit's column label is its row label."""
+    cols = [n_sites + p if p in keep else p for p in range(n_sites)]
+    return (..., *range(n_sites), *cols), (..., *keep, *(n_sites + p for p in keep))
 
 
 def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
     """Trace ``mat`` (on ``n_sites`` qudits) over every qudit whose position
     is not in ``keep``; the result acts on the kept qudits in ascending order
-    (1x1 when none is kept)."""
-    keep = frozenset(keep)
+    (1x1 when none is kept).
+
+    ``mat`` may be a stack of such matrices along leading axes, traced in
+    one einsum.  Each is summed in the same order whatever the stack's
+    length, so a stack of one gives bitwise what a longer stack gives for
+    that matrix.
+    """
+    keep = tuple(sorted(keep))
     if len(keep) == n_sites:
         return mat
-    dim = d ** len(keep)
-    sub = _trace_subscripts(keep, n_sites)
-    return np.einsum(sub, mat.reshape((d,) * (2 * n_sites))).reshape(dim, dim)
+    labels, out = _trace_labels(keep, n_sites)
+    lead = mat.shape[:-2]
+    traced = np.einsum(mat.reshape(lead + (d,) * (2 * n_sites)), labels, out)
+    return traced.reshape(lead + (d ** len(keep),) * 2)
 
 
 def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:

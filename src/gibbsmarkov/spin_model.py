@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SupportedOperator, hermiticity_defect, operator_norm
+from .operators import SupportedOperator, hermiticity_defect, is_hermitian_matrix, operator_norm
 
 NORM_TOL = 1e-12
 
@@ -64,6 +64,24 @@ class SpinGraph:
         if not a or not b:
             return math.inf
         return float(min(self.dist[u, v] for u in a for v in b))
+
+    def check_regions(self, *regions) -> None:
+        """Refuse, with ValidationError, a vertex id outside 0..n-1 in any of
+        the ``regions``, or a vertex that two of them share."""
+        seen: set[int] = set()
+        for region in regions:
+            region = [int(v) for v in region]
+            outside = [v for v in region if not 0 <= v < self.vertex_count]
+            if outside:
+                raise ValidationError(
+                    f"vertex {outside[0]} is not in the graph (0..{self.vertex_count - 1})"
+                )
+            shared = seen.intersection(region)
+            if shared:
+                raise ValidationError(
+                    f"regions must be disjoint: vertex {min(shared)} is in two of them"
+                )
+            seen.update(region)
 
     def diameter_of(self, support) -> float:
         support = list(support)
@@ -164,17 +182,15 @@ def _make_term(graph: SpinGraph, support, matrix) -> InteractionTerm:
     support = tuple(sorted(int(v) for v in support))
     if len(set(support)) != len(support):
         raise ValidationError(f"term support has repeated vertices: {support}")
-    for v in support:
-        if not (0 <= v < graph.vertex_count):
-            raise ValidationError(f"term support vertex {v} outside graph")
+    graph.check_regions(support)
     matrix = np.asarray(matrix, dtype=complex)
     dim = graph.local_dim ** len(support)
     if matrix.shape != (dim, dim):
         raise ValidationError(
             f"term on {support}: matrix shape {matrix.shape}, expected {(dim, dim)}"
         )
-    defect = hermiticity_defect(matrix)
-    if defect > NORM_TOL * max(1.0, float(np.abs(matrix).max())):
+    if not is_hermitian_matrix(matrix):
+        defect = hermiticity_defect(matrix)
         raise ValidationError(f"term on {support} is not Hermitian (defect {defect:.3e})")
     return InteractionTerm(support, matrix, operator_norm(matrix), graph.diameter_of(support))
 

@@ -351,6 +351,20 @@ class TestVanishing:
             assert np.max(np.abs(cluster_derivative(ham, c, kept))) < 1e-13
             assert np.max(np.abs(exact_derivative(ham, c, kept))) < 1e-13
 
+    def test_disconnected_cluster_is_exact_zero_without_a_moment(self, rng):
+        h1 = random_hermitian(rng, 4, 0.7)
+        h2 = random_hermitian(rng, 4, 0.7)
+        ham = chain_ham([((0, 1), h1), ((3, 4), h2)], 5, beta=0.4)
+        i1, i2 = term_index(ham, (0, 1)), term_index(ham, (3, 4))
+        moments = MomentTable(ham)
+        for idxs in [(i1, i2), (i1, i1, i2)]:
+            c = make_cluster(ham, idxs)
+            for kept in [(), (0,), (0, 3), (1, 3, 4)]:
+                got = cluster_derivative(ham, c, kept, moments=moments)
+                dim = 2 ** len(set(kept) & set(c.support))
+                assert np.array_equal(got, np.zeros((dim, dim)))
+        assert not moments._products and not moments._moments
+
     def test_fully_kept_multi_element_is_zero(self, rng):
         # log of exp with nothing traced is linear in the couplings, so any
         # mixed derivative of order two or more vanishes identically

@@ -36,7 +36,7 @@ class TestExactGibbs:
         st = ed.exact_gibbs(free_ham(4))
         assert st.log_z == pytest.approx(4 * math.log(2))
         assert np.allclose(st.rho.matrix, np.eye(16) / 16)
-        assert ed.region_entropy(st, (0, 1)) == pytest.approx(2 * math.log(2))
+        assert ed.entropy(ed.reduced_density(st, (0, 1))) == pytest.approx(2 * math.log(2))
 
     def test_single_site_field(self):
         beta, a = 0.7, 0.6
@@ -122,7 +122,7 @@ class TestHamiltonianMatrix:
 class TestEntropiesAndCmi:
     def test_empty_region_entropy_is_zero(self):
         st = ed.exact_gibbs(free_ham(3))
-        assert ed.region_entropy(st, ()) == 0.0
+        assert ed.entropy(ed.reduced_density(st, ())) == 0.0
 
     def test_ground_state_mixture_mutual_information(self):
         # deep in the ferromagnetic phase the state is (|000><000| + |111><111|)/2:

@@ -29,7 +29,14 @@ from gibbsmarkov.operators import (
     operator_norm,
 )
 from gibbsmarkov.random_models import random_chain, random_grid, tfi_chain
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
+from gibbsmarkov.spin_model import (
+    FiniteRange,
+    PAULI,
+    ValidationError,
+    build_graph,
+    build_hamiltonian,
+)
+from gibbsmarkov.cli import _vertex_list
 
 BETA_C = critical_beta(2)
 
@@ -239,7 +246,7 @@ class TestObservableAndEntropy:
         ham = random_chain(6, beta=0.4 * BETA_C, seed=29)
         st = ed.exact_gibbs(ham)
         region = (1, 2)
-        exact = ed.region_entropy(st, region)
+        exact = ed.entropy(ed.reduced_density(st, region))
         value, cert, valid = local_entropy(ham, region, order=2)
         assert valid
         assert abs(value - exact) <= cert
@@ -349,3 +356,58 @@ class TestCertificates:
         ham = random_chain(6, beta=0.5 * BETA_C, seed=53)
         cert, valid = entropy_certificate(ham, (0, 1), 2)
         assert valid and cert < 1.0
+
+
+@pytest.fixture(scope="module")
+def chain6():
+    ham = random_chain(6, beta=BETA_C / 4.0, seed=0)
+    return ham, ed.exact_gibbs(ham)
+
+
+def z_on(vertex):
+    return SupportedOperator((vertex,), PAULI["Z"])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("vertex", [99, -1, 6])
+    @pytest.mark.parametrize("call", [
+        lambda ham, st, v: effective_hamiltonian(ham, (v,), 2),
+        lambda ham, st, v: reduced_state(ham, (0, v), 2),
+        lambda ham, st, v: local_entropy(ham, (v,), 2),
+        lambda ham, st, v: local_observable(ham, z_on(v), 2),
+        lambda ham, st, v: local_observable(ham, z_on(v), 2, pad=1),
+        lambda ham, st, v: cmi_expansion(ham, (0,), (1,), (v,), 2),
+        lambda ham, st, v: cmi_expansion(ham, (v,), (1,), (3,), 2),
+        lambda ham, st, v: ed.exact_cmi(st, (0,), (1,), (v,)),
+        lambda ham, st, v: ed.reduced_density(st, (v,)),
+        lambda ham, st, v: _vertex_list(f"0,{v}", ham),
+    ], ids=[
+        "effective_hamiltonian", "reduced_state", "local_entropy",
+        "local_observable", "local_observable-pad", "cmi_expansion-C",
+        "cmi_expansion-A", "exact_cmi", "reduced_density", "cli-vertex-list",
+    ])
+    def test_vertex_outside_the_graph(self, chain6, call, vertex):
+        ham, st = chain6
+        with pytest.raises(ValidationError, match=rf"vertex {vertex} is not in the graph \(0\.\.5\)"):
+            call(ham, st, vertex)
+
+    @pytest.mark.parametrize("call", [
+        lambda ham: effective_hamiltonian(ham, (0,), -1),
+        lambda ham: log_partition_function(ham, -1),
+        lambda ham: cmi_expansion(ham, (0,), (1,), (2,), -1),
+    ], ids=["effective_hamiltonian", "log_partition_function", "cmi_expansion"])
+    def test_negative_order(self, chain6, call):
+        with pytest.raises(ValidationError, match="order must be >= 0, got -1"):
+            call(chain6[0])
+
+    @pytest.mark.parametrize("a, b, c", [
+        ((0, 1), (1, 2), (3,)),   # A and B
+        ((0,), (2, 3), (3, 4)),   # B and C
+        ((0, 1), (2,), (1, 3)),   # A and C
+    ])
+    def test_overlapping_cmi_regions(self, chain6, a, b, c):
+        ham, st = chain6
+        with pytest.raises(ValidationError, match="regions must be disjoint"):
+            cmi_expansion(ham, a, b, c, 2)
+        with pytest.raises(ValidationError, match="regions must be disjoint"):
+            ed.exact_cmi(st, a, b, c)

@@ -9,10 +9,10 @@ from gibbsmarkov.operators import (
     embed,
     embed_matrix,
     expm_hermitian,
-    identity,
     logm_posdef,
     operator_norm,
     partial_trace,
+    trace_out,
 )
 from gibbsmarkov.spin_model import PAULI
 
@@ -50,25 +50,47 @@ def random_complex(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
+def kron_embedding(mat, positions, n_sites, d):
+    """Independent oracle: mat (x) I by np.kron, its tensor axes then
+    permuted so that the factor listed j-th acts on site positions[j]."""
+    rest = [p for p in range(n_sites) if p not in positions]
+    full = np.kron(mat, np.eye(d ** len(rest)))
+    inv = list(np.argsort(list(positions) + rest))
+    axes = inv + [n_sites + i for i in inv]
+    return full.reshape((d,) * (2 * n_sites)).transpose(axes).reshape(d ** n_sites, -1)
+
+
+EMBED_CASES = [
+    ((0, 2), 3),        # sorted, with a gap
+    ((1,), 4),
+    ((2, 0), 3),        # unsorted
+    ((3, 0, 2), 4),
+    ((0, 1, 2), 3),     # full, in order
+    ((2, 0, 1), 3),     # full, permuted
+    ((), 3),            # a number times the identity
+    ((), 0),
+]
+
+EMBED_SCALES = ((2, 1.0), (2, -0.375), (3, 0.25 - 1j))
+
+
 class TestAddEmbedded:
-    @pytest.mark.parametrize("positions, n_sites", [
-        ((0, 2), 3),        # sorted, with a gap
-        ((1,), 4),
-        ((2, 0), 3),        # unsorted
-        ((3, 0, 2), 4),
-        ((0, 1, 2), 3),     # full, in order
-        ((2, 0, 1), 3),     # full, permuted
-        ((), 3),            # a number times the identity
-        ((), 0),
-    ])
+    @pytest.mark.parametrize("positions, n_sites", EMBED_CASES)
     def test_equals_adding_the_embedding(self, rng, positions, n_sites):
-        for d, scale in ((2, 1.0), (2, -0.375), (3, 0.25 - 1j)):
+        for d, scale in EMBED_SCALES:
             k = len(positions)
             mat = random_complex(rng, d ** k)
             acc = random_complex(rng, d ** n_sites)
-            expected = acc + scale * embed_matrix(mat, positions, n_sites, d)
+            expected = acc + scale * kron_embedding(mat, positions, n_sites, d)
             add_embedded(acc, mat, positions, n_sites, d, scale)
             assert np.array_equal(acc, expected)
+
+    @pytest.mark.parametrize("positions, n_sites", EMBED_CASES)
+    def test_embed_matrix_equals_the_oracle(self, rng, positions, n_sites):
+        for d, _ in EMBED_SCALES:
+            mat = random_complex(rng, d ** len(positions))
+            expected = kron_embedding(mat, positions, n_sites, d)
+            assert np.array_equal(embed_matrix(mat, positions, n_sites, d), expected)
 
     def test_refuses_a_target_it_cannot_write_through(self, rng):
         acc = random_complex(rng, 4).T  # Fortran order: a reshape would copy
@@ -105,6 +127,27 @@ class TestPartialTrace:
         assert np.allclose(out.matrix, oracle)
 
 
+class TestTraceOut:
+    def test_stack_is_bitwise_its_members_one_at_a_time(self, rng):
+        stack = np.array([random_complex(rng, 2 ** 4) for _ in range(5)])
+        for keep in ((), (1,), (0, 3), (0, 1, 2)):
+            traced = trace_out(stack, keep, 4, 2)
+            for mat, out in zip(stack, traced):
+                assert np.array_equal(out, trace_out(mat, keep, 4, 2))
+                assert np.array_equal(out, trace_out(mat[None], keep, 4, 2)[0])
+
+    def test_against_naive_loop_non_adjacent_qutrits(self, rng):
+        d, keep = 3, (0, 2)
+        mat = random_complex(rng, d ** 4)
+        t = mat.reshape((d,) * 8)
+        oracle = np.zeros((d, d, d, d), dtype=complex)
+        for i0, i2, j0, j2 in np.ndindex(d, d, d, d):
+            for t1, t3 in np.ndindex(d, d):
+                oracle[i0, i2, j0, j2] += t[i0, t1, i2, t3, j0, t1, j2, t3]
+        out = trace_out(mat, keep, 4, d)
+        assert np.allclose(out, oracle.reshape(d * d, d * d), rtol=0, atol=1e-12)
+
+
 class TestMatrixFunctions:
     def test_expm_zero_is_identity(self):
         out = expm_hermitian(op((0,), np.zeros((2, 2))))
@@ -121,7 +164,7 @@ class TestMatrixFunctions:
         assert operator_norm(prod - np.eye(8)) < 1e-10
 
     def test_logm_identity_is_zero(self):
-        assert np.allclose(logm_posdef(identity((0, 1))).matrix, 0.0)
+        assert np.allclose(logm_posdef(op((0, 1), np.eye(4))).matrix, 0.0)
 
     def test_logm_diagonal(self):
         out = logm_posdef(op((0,), np.diag([np.e, np.e ** 2])))

@@ -84,6 +84,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             build_hamiltonian(g, [((0,), bad)], FiniteRange(1), beta=0.1)
 
+    def test_nan_term_rejected(self):
+        g = chain(2)
+        bad = np.array([[np.nan, 0], [0, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            build_hamiltonian(g, [((0,), bad)], FiniteRange(1), beta=0.1)
+
     def test_range_violation_rejected(self):
         g = chain(4)
         with pytest.raises(ValidationError):
