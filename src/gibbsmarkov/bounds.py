@@ -50,13 +50,12 @@ def surface_region(graph: SpinGraph, region, l: int) -> tuple[int, ...]:
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    rset = set(int(v) for v in region)
+    (region,) = graph.check_regions(region)
+    rset = set(region)
     comp = [v for v in range(graph.vertex_count) if v not in rset]
     if not comp:
         return ()
-    return tuple(
-        v for v in sorted(rset) if graph.distance((v,), comp) <= l
-    )
+    return tuple(v for v in region if graph.distance((v,), comp) <= l)
 
 
 def finite_range_cmi_bound(
@@ -145,27 +144,24 @@ def recovery_error_bound(cmi: float) -> float:
     return math.sqrt(cmi * math.log(2.0))
 
 
-def area_law_saturation_series(
-    ham: Hamiltonian, a_region, slices, ed_limit: int = ed.DEFAULT_ED_LIMIT
-):
+def area_law_saturation_series(ham: Hamiltonian, a_region, slices):
     """Mutual-information increments I(A:B_1..B_l) - I(A:B_1..B_{l-1}) for a
-    growing sequence of slices, each paired with the finite-range CMI bound at
-    the slice's distance.  Exact-diagonalization backed."""
-    st = ed.exact_gibbs(ham, limit=ed_limit)
+    growing sequence of disjoint slices, each paired with the finite-range
+    CMI bound at the slice's distance.  Exact-diagonalization backed."""
+    a, *slices = ham.graph.check_regions(a_region, *slices)
+    st = ed.exact_gibbs(ham)
     beta_c = critical_beta(ham.k)
     r = ham.range_r
-    a = tuple(sorted(set(map(int, a_region))))
+    surf_a = len(surface_region(ham.graph, a, r))
     out = []
     prev = ed.exact_cmi(st, a, (), ())  # I(A:empty) = 0
-    grown: list[int] = []
-    for l, sl in enumerate(slices, start=1):
-        new = tuple(sorted(set(map(int, sl))))
-        mi = ed.exact_cmi(st, a, (), tuple(grown) + new)
+    grown: tuple[int, ...] = ()
+    for new in slices:
+        mi = ed.exact_cmi(st, a, (), grown + new)
         increment = mi - prev
         prev = mi
-        grown.extend(new)
+        grown += new
         d_ac = ham.graph.distance(a, new)
-        surf_a = len(surface_region(ham.graph, a, r))
         surf_c = len(surface_region(ham.graph, new, r))
         bound = finite_range_cmi_bound(
             min(surf_a, surf_c), ham.beta, beta_c, d_ac, r

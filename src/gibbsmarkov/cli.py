@@ -129,15 +129,16 @@ def cmd_clusters(args) -> int:
     if args.max_order < 0:
         raise ModelError(f"--max-order must be >= 0, got {args.max_order}")
     anchor = _vertex_list(args.anchor, ham)
-    comp = tuple(
-        v for v in range(ham.graph.vertex_count) if v not in set(anchor)
-    )
+    comp = set(range(ham.graph.vertex_count)).difference(anchor)
     prov = _provenance(args, ham)
     _print_provenance(prov)
     rows = []
     print(f"{'m':>3} {'count':>10} {'bound':>14}")
     for m in range(1, args.max_order + 1):
-        count = sum(1 for _ in enumerate_connected_to_region(ham, anchor, m))
+        # the clusters that touch the complement, which the bound counts:
+        # the boundary clusters of effham on the same region
+        clusters = enumerate_connected_to_region(ham, anchor, m)
+        count = sum(1 for w in clusters if comp.intersection(w.support))
         bound = counting_bound(ham, len(comp), m)
         rows.append({"m": m, "count": count, "bound": bound})
         print(f"{m:>3} {count:>10} {bound:>14.4e}")
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("clusters", help="cluster counts per order with the counting bound")
+    p = sub.add_parser("clusters", help="boundary-cluster counts per order with the counting bound")
     _add_model(p)
     p.add_argument("--anchor", required=True, help="comma-separated anchor vertices")
     p.add_argument("--max-order", type=int, default=3)

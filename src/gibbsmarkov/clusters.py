@@ -172,12 +172,15 @@ def _bits(mask: int) -> tuple[int, ...]:
 def enumerate_connected_to_region(ham: Hamiltonian, region, m: int):
     """Stream the size-m clusters connected to ``region``, in canonical
     (lexicographic multiset) order, each exactly once."""
+    (region,) = ham.graph.check_regions(region)
     yield from _grow(ham, m, seeds=set(region), anchor=region)
 
 
 def enumerate_connected(ham: Hamiltonian, m: int, within=None):
     """Stream all size-m connected clusters in canonical order, only those
     inside the vertex set ``within`` when it is given."""
+    if within is not None:
+        (within,) = ham.graph.check_regions(within)
     yield from _grow(ham, m, within=None if within is None else set(within))
 
 
@@ -186,14 +189,12 @@ def enumerate_linking(ham: Hamiltonian, a_region, c_region, m: int):
     those grown from the terms meeting A that also meet C."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    a_set, c_set = set(a_region), set(c_region)
-    if a_set & c_set:
-        raise ValueError("regions must be disjoint")
+    a_region, c_region = ham.graph.check_regions(a_region, c_region)
     max_diam = max([t.diameter for t in ham.terms] + [1.0])
-    d_ac = ham.graph.distance(a_region, c_region)
-    if m * max_diam < d_ac:
+    if m * max_diam < ham.graph.distance(a_region, c_region):
         return
-    for c in _grow(ham, m, seeds=a_set):
+    c_set = set(c_region)
+    for c in _grow(ham, m, seeds=set(a_region)):
         if c_set.intersection(c.support):
             yield c
 
@@ -222,12 +223,10 @@ def counting_bound(ham: Hamiltonian, complement_size: int, m: int) -> float:
 
 
 def count_bound_check(ham: Hamiltonian, complement, m: int) -> tuple[int, float]:
-    """Count the connected clusters inside the complement or linking it to
-    the region; compare with the closed-form bound."""
-    comp = set(int(v) for v in complement)
-    count = 0
-    for c in enumerate_connected(ham, m):
-        # inside the complement, or meeting it and the region both
-        if comp.issuperset(c.support) or comp.intersection(c.support):
-            count += 1
+    """Count the connected clusters that meet the complement (those inside
+    it, and those linking it to the region); compare with the closed-form
+    bound."""
+    (complement,) = ham.graph.check_regions(complement)
+    comp = set(complement)
+    count = sum(1 for c in enumerate_connected(ham, m) if comp.intersection(c.support))
     return count, counting_bound(ham, len(comp), m)

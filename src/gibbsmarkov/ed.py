@@ -132,8 +132,7 @@ def entropy(op: SupportedOperator) -> float:
 
 
 def reduced_density(st: ExactGibbs, region) -> SupportedOperator:
-    region = tuple(sorted(set(int(v) for v in region)))
-    st.hamiltonian.graph.check_regions(region)
+    (region,) = st.hamiltonian.graph.check_regions(region)
     return partial_trace(st.rho, region)
 
 
@@ -168,8 +167,7 @@ def exact_cmi(st: ExactGibbs, a_region, b_region, c_region) -> float:
     delta(ABC) + delta(B) - delta(AB) - delta(BC), so a CMI near 0 is not
     the difference of O(|X| log d) numbers.
     """
-    a, b, c = (tuple(sorted(set(map(int, r)))) for r in (a_region, b_region, c_region))
-    st.hamiltonian.graph.check_regions(a, b, c)
+    a, b, c = st.hamiltonian.graph.check_regions(a_region, b_region, c_region)
     return (
         _entropy_deficit(st, a + b + c)
         + _entropy_deficit(st, b)

@@ -124,17 +124,17 @@ def _check_order(order: int) -> None:
 
 
 def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
-    rset = set(int(v) for v in region)
+    rset = set(region)
     return tuple(v for v in range(ham.graph.vertex_count) if v not in rset)
 
 
 def _scalar_series(ham: Hamiltonian, region, order: int) -> float:
-    """log tr e^{-beta H_region} via the cluster series on the region."""
-    sub = set(map(int, region))
-    value = len(sub) * math.log(ham.local_dim)
+    """log tr e^{-beta H_region} via the cluster series on the region, a
+    sequence of distinct vertex ids."""
+    value = len(region) * math.log(ham.local_dim)
     moments = MomentTable(ham)
     for m in range(1, order + 1):
-        level = list(enumerate_connected(ham, m, within=sub))
+        level = list(enumerate_connected(ham, m, within=region))
         # the level's own moments in stacked contractions; the per-cluster
         # derivatives below then read them from the table
         moments.prime(level)
@@ -162,8 +162,7 @@ def effective_hamiltonian(
     _check_order(order)
     if not isinstance(ham.interaction_class, FiniteRange):
         raise ModelError("effective-Hamiltonian assembly requires a finite-range model")
-    region = tuple(sorted(set(map(int, region))))
-    ham.graph.check_regions(region)
+    (region,) = ham.graph.check_regions(region)
     rset = set(region)
 
     bare = tuple(t.as_operator(ham.local_dim) for t in ham.terms if set(t.support) <= rset)
@@ -176,14 +175,10 @@ def effective_hamiltonian(
             if rset.issuperset(cluster.support):
                 continue  # interior clusters are exactly the bare terms
             dmat = cluster_derivative(ham, cluster, region, moments=moments)
+            # every cluster meets L, so it keeps at least one site
             kept = tuple(v for v in cluster.support if v in rset)
             coeff = -1.0 / (ham.beta * math.factorial(m))
-            if kept:
-                op = SupportedOperator(kept, coeff * dmat, local_dim=ham.local_dim)
-            else:
-                op = SupportedOperator(
-                    (), coeff * dmat.reshape(1, 1), local_dim=ham.local_dim
-                )
+            op = SupportedOperator(kept, coeff * dmat, local_dim=ham.local_dim)
             entries.append((cluster, op))
         boundary[m] = entries
 
@@ -268,13 +263,13 @@ def local_observable(
     Returns (value, error_certificate, certificate_valid); the certificate is
     ||obs|| times the trace-distance guarantee of the reduced state.
     """
-    ham.graph.check_regions(obs.support)
-    region = set(int(v) for v in obs.support)
+    (support,) = ham.graph.check_regions(obs.support)
+    region = set(support)
     if pad > 0:
         region |= {
             v
             for v in range(ham.graph.vertex_count)
-            if ham.graph.distance((v,), obs.support) <= pad
+            if ham.graph.distance((v,), support) <= pad
         }
     region = tuple(sorted(region))
     state, _ = reduced_state(ham, region, order)
@@ -293,11 +288,12 @@ def entropy_certificate(ham: Hamiltonian, region, order: int) -> tuple[float, bo
     """Entropy-error guarantee via the Fannes-Audenaert continuity bound
     (implementation addition): with T half the trace-distance certificate,
     |S1 - S2| <= T log(dim - 1) + h2(T) whenever T <= 1 - 1/dim."""
+    (region,) = ham.graph.check_regions(region)
     td, valid = trace_distance_certificate(ham, region, order)
     if not math.isfinite(td):
         return math.inf, False
     t = min(td / 2.0, 1.0)
-    dim = ham.local_dim ** len(tuple(region))
+    dim = ham.local_dim ** len(region)
     value = t * math.log(max(dim - 1, 1)) + _binary_entropy(t)
     return value, valid and t <= 1.0 - 1.0 / dim
 
@@ -315,15 +311,9 @@ def local_entropy(ham: Hamiltonian, region, order: int) -> tuple[float, float, b
 class CmiExpansionResult:
     """Truncated CMI operator for a tripartition, with per-order norm data."""
 
-    a_region: tuple[int, ...]
-    b_region: tuple[int, ...]
-    c_region: tuple[int, ...]
-    order: int
     operator: SupportedOperator  # on (A u B u C) truncated at the order
     per_order_norm_sums: dict  # m -> sum over linking clusters of n_w/m! ||.||
-    norm_bound_accumulated: float
     cmi_estimate: float | None  # tr(rho * operator) when an ED state is given
-    beta: float
 
     @property
     def operator_norm(self) -> float:
@@ -345,16 +335,12 @@ def cmi_expansion(
     summed over linking clusters between A and C up to the given order.
     tr(rho H) equals the CMI when the full state rho is supplied; the
     operator norm always upper-bounds the full-series CMI contribution."""
-    a = tuple(sorted(set(map(int, a_region))))
-    b = tuple(sorted(set(map(int, b_region))))
-    c = tuple(sorted(set(map(int, c_region))))
-    ham.graph.check_regions(a, b, c)
+    a, b, c = ham.graph.check_regions(a_region, b_region, c_region)
     _check_order(order)
-    target = tuple(sorted(set(a) | set(b) | set(c)))
+    target = tuple(sorted(a + b + c))
     d = ham.local_dim
     acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)
     per_order: dict = {}
-    norm_acc = 0.0
     moments = MomentTable(ham)
     for m in range(1, order + 1):
         order_sum = 0.0
@@ -365,28 +351,18 @@ def cmi_expansion(
             add_embedded(acc, piece.matrix, positions, len(target), d, -weight)
             order_sum += weight * piece.norm()
         per_order[m] = order_sum
-        norm_acc += order_sum
     op = SupportedOperator(target, acc, local_dim=ham.local_dim)
     estimate = None
     if gibbs_state is not None:
         rho_abc = ed.reduced_density(gibbs_state, target)
         estimate = float(np.trace(rho_abc.matrix @ op.matrix).real)
-    return CmiExpansionResult(
-        a_region=a,
-        b_region=b,
-        c_region=c,
-        order=order,
-        operator=op,
-        per_order_norm_sums=per_order,
-        norm_bound_accumulated=norm_acc,
-        cmi_estimate=estimate,
-        beta=ham.beta,
-    )
+    return CmiExpansionResult(operator=op, per_order_norm_sums=per_order, cmi_estimate=estimate)
 
 
 def cmi_order_norm_bound(ham: Hamiltonian, a_region, c_region, m: int) -> float:
     """Closed-form ceiling on the order-m norm sum of the CMI expansion:
     e * min(|dA_r|, |dC_r|) * (beta/beta_c)^m."""
+    a_region, c_region = ham.graph.check_regions(a_region, c_region)
     beta_c = critical_beta(ham.k)
     r = ham.range_r
     surf_a = len(surface_region(ham.graph, a_region, r))

@@ -14,11 +14,16 @@ from .spin_model import (
     Hamiltonian,
     PAULI,
     PowerLaw,
+    ValidationError,
     build_graph,
     build_hamiltonian,
+    check_alpha,
+    check_beta,
 )
 
-DEFAULT_VERTEX_BUDGET = 0.95
+VERTEX_BUDGET = 0.95  # the worst per-vertex norm sum of a generated model
+FIELD_SCALE = 0.5  # the random on-site fields, against the random bonds
+J_COUPLING, HX = 0.25, 0.5  # TFI: a per-vertex norm sum of exactly 1 in the bulk
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -27,42 +32,30 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return h / np.linalg.norm(h, 2)
 
 
-def _rescaled(graph, raw_terms, interaction_class, beta, budget):
-    """Scale all terms uniformly so the max per-vertex norm sum equals budget."""
+def _rescaled(graph, raw_terms, beta):
+    """The nearest-neighbor model of the terms scaled uniformly so that the
+    max per-vertex norm sum equals VERTEX_BUDGET."""
     per_vertex = np.zeros(graph.vertex_count)
     for support, mat in raw_terms:
         norm = np.linalg.norm(mat, 2)
         for v in support:
             per_vertex[v] += norm
     worst = per_vertex.max()
-    scale = budget / worst if worst > 0 else 1.0
+    scale = VERTEX_BUDGET / worst if worst > 0 else 1.0
     terms = [(support, scale * mat) for support, mat in raw_terms]
-    return build_hamiltonian(graph, terms, interaction_class, beta=beta)
+    return build_hamiltonian(graph, terms, FiniteRange(1), beta=beta)
 
 
-def random_chain(
-    n: int,
-    beta: float,
-    seed: int,
-    field_scale: float = 0.5,
-    budget: float = DEFAULT_VERTEX_BUDGET,
-) -> Hamiltonian:
+def random_chain(n: int, beta: float, seed: int) -> Hamiltonian:
     """Random 2-local nearest-neighbor chain with on-site fields."""
     rng = np.random.default_rng(seed)
     graph = build_graph(n, [(i, i + 1) for i in range(n - 1)], local_dim=2)
     raw = [((i, i + 1), random_hermitian(rng, 4)) for i in range(n - 1)]
-    raw += [((i,), field_scale * random_hermitian(rng, 2)) for i in range(n)]
-    return _rescaled(graph, raw, FiniteRange(1), beta, budget)
+    raw += [((i,), FIELD_SCALE * random_hermitian(rng, 2)) for i in range(n)]
+    return _rescaled(graph, raw, beta)
 
 
-def random_grid(
-    rows: int,
-    cols: int,
-    beta: float,
-    seed: int,
-    field_scale: float = 0.5,
-    budget: float = DEFAULT_VERTEX_BUDGET,
-) -> Hamiltonian:
+def random_grid(rows: int, cols: int, beta: float, seed: int) -> Hamiltonian:
     """Random 2-local nearest-neighbor grid patch with on-site fields."""
     rng = np.random.default_rng(seed)
     n = rows * cols
@@ -79,29 +72,25 @@ def random_grid(
                 edges.append((vid(i, j), vid(i + 1, j)))
     graph = build_graph(n, edges, local_dim=2)
     raw = [(e, random_hermitian(rng, 4)) for e in edges]
-    raw += [((v,), field_scale * random_hermitian(rng, 2)) for v in range(n)]
-    return _rescaled(graph, raw, FiniteRange(1), beta, budget)
+    raw += [((v,), FIELD_SCALE * random_hermitian(rng, 2)) for v in range(n)]
+    return _rescaled(graph, raw, beta)
 
 
-def tfi_chain(n: int, beta: float, j_coupling: float = 0.25, hx: float = 0.5) -> Hamiltonian:
-    """Transverse-field Ising chain J*ZZ + hx*X; the defaults give a
-    per-vertex norm sum of exactly 1 in the bulk."""
+def tfi_chain(n: int, beta: float) -> Hamiltonian:
+    """Transverse-field Ising chain J_COUPLING*ZZ + HX*X."""
     graph = build_graph(n, [(i, i + 1) for i in range(n - 1)], local_dim=2)
     zz = np.kron(PAULI["Z"], PAULI["Z"])
-    terms = [((i, i + 1), j_coupling * zz) for i in range(n - 1)]
-    terms += [((i,), hx * PAULI["X"]) for i in range(n)]
+    terms = [((i, i + 1), J_COUPLING * zz) for i in range(n - 1)]
+    terms += [((i,), HX * PAULI["X"]) for i in range(n)]
     return build_hamiltonian(graph, terms, FiniteRange(1), beta=beta)
 
 
-def power_law_chain(
-    n: int,
-    alpha: float,
-    beta: float,
-    seed: int,
-    budget: float = DEFAULT_VERTEX_BUDGET,
-) -> Hamiltonian:
+def power_law_chain(n: int, alpha: float, beta: float, seed: int) -> Hamiltonian:
     """All-to-all chain with couplings scaled as (distance)^-(alpha+1), then
-    rescaled until both the per-vertex and every tail-sum constraint pass."""
+    rescaled until both the per-vertex and every tail-sum constraint pass.
+    An alpha or beta that no rescaling can fix raises ValidationError."""
+    check_alpha(alpha)
+    check_beta(beta)
     rng = np.random.default_rng(seed)
     graph = build_graph(n, [(i, i + 1) for i in range(n - 1)], local_dim=2)
     raw = []
@@ -113,11 +102,11 @@ def power_law_chain(
 
     # The tail-sum constraint sum_{diam>=R} ||h|| <= R^-alpha binds harder
     # than the per-vertex budget; shrink until every (v, R) pair passes.
-    scale = budget
+    scale = VERTEX_BUDGET
     for _ in range(60):
         terms = [(s, scale * m) for s, m in raw]
         try:
             return build_hamiltonian(graph, terms, PowerLaw(alpha), beta=beta)
-        except Exception:
+        except ValidationError:
             scale *= 0.8
     raise RuntimeError("could not scale power-law instance into the hypothesis class")

@@ -65,16 +65,20 @@ class SpinGraph:
             return math.inf
         return float(min(self.dist[u, v] for u in a for v in b))
 
-    def check_regions(self, *regions) -> None:
-        """Refuse, with ValidationError, a vertex id outside 0..n-1 in any of
-        the ``regions``, or a vertex that two of them share."""
+    def check_regions(self, *regions) -> tuple[tuple[int, ...], ...]:
+        """The ``regions`` as sorted, duplicate-free tuples of vertex ids.
+
+        Refuses, with ValidationError, a vertex id outside 0..n-1 in any of
+        them, or a vertex that two of them share.
+        """
         seen: set[int] = set()
+        out = []
         for region in regions:
-            region = [int(v) for v in region]
-            outside = [v for v in region if not 0 <= v < self.vertex_count]
+            region = set(map(int, region))
+            outside = {v for v in region if not 0 <= v < self.vertex_count}
             if outside:
                 raise ValidationError(
-                    f"vertex {outside[0]} is not in the graph (0..{self.vertex_count - 1})"
+                    f"vertex {min(outside)} is not in the graph (0..{self.vertex_count - 1})"
                 )
             shared = seen.intersection(region)
             if shared:
@@ -82,6 +86,8 @@ class SpinGraph:
                     f"regions must be disjoint: vertex {min(shared)} is in two of them"
                 )
             seen.update(region)
+            out.append(tuple(sorted(region)))
+        return tuple(out)
 
     def diameter_of(self, support) -> float:
         support = list(support)
@@ -180,6 +186,9 @@ def _canonical_terms(terms):
 
 def _make_term(graph: SpinGraph, support, matrix) -> InteractionTerm:
     support = tuple(sorted(int(v) for v in support))
+    # a constant term would be counted in both H_L and log Z_{L^c}
+    if not support:
+        raise ValidationError("term support is empty")
     if len(set(support)) != len(support):
         raise ValidationError(f"term support has repeated vertices: {support}")
     graph.check_regions(support)
@@ -199,18 +208,11 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
                       rescale: bool = False) -> Hamiltonian:
     """Validate terms against the locality and normalization assumptions.
 
-    ``terms`` is an iterable of (support, matrix) pairs or InteractionTerm.
-    With ``rescale`` the per-vertex energy scale g is divided out of the terms
-    and folded into beta, so the normalized convention g = 1 holds.
+    ``terms`` is an iterable of (support, matrix) pairs.  With ``rescale``
+    the per-vertex energy scale g is divided out of the terms and folded
+    into beta, so the normalized convention g = 1 holds.
     """
-    built = []
-    for t in terms:
-        if isinstance(t, InteractionTerm):
-            built.append(_make_term(graph, t.support, t.matrix))
-        else:
-            support, matrix = t
-            built.append(_make_term(graph, support, matrix))
-    built = _canonical_terms(built)
+    built = _canonical_terms(_make_term(graph, support, matrix) for support, matrix in terms)
     k = max((len(t.support) for t in built), default=1)
 
     if isinstance(interaction_class, FiniteRange):
@@ -244,9 +246,14 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
     return ham
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a power-law exponent that is not positive (a nan included)."""
+    if not alpha > 0:
+        raise ValidationError(f"power-law exponent alpha must be positive, got {alpha}")
+
+
 def _validate_power_law_tails(ham: Hamiltonian, alpha: float):
-    if alpha <= 0:
-        raise ValidationError("power-law exponent alpha must be positive")
+    check_alpha(alpha)
     # the profile stops at the largest finite diameter; a term of infinite
     # diameter stays in the tail at every R while R^-alpha falls to zero
     for t in ham.terms:

@@ -299,10 +299,14 @@ def test_criterion_06_counting_bound():
         (random_grid(2, 3, 0.3 * BETA_C, seed=306), (0, 3)),
     ]
     for ham, region in cases:
-        comp = ham.graph.vertex_count - len(region)
+        # the bound counts the clusters on the region that touch L^c
+        comp = set(range(ham.graph.vertex_count)).difference(region)
         for m in range(1, 5):
-            count = sum(1 for _ in enumerate_connected_to_region(ham, region, m))
-            bound = counting_bound(ham, comp, m)
+            count = sum(
+                1 for w in enumerate_connected_to_region(ham, region, m)
+                if comp.intersection(w.support)
+            )
+            bound = counting_bound(ham, len(comp), m)
             worst_ratio = max(worst_ratio, count / bound)
             if count > bound:
                 _report(6, "counting-bound", False,

@@ -12,8 +12,9 @@ import gibbsmarkov
 
 from gibbsmarkov.bounds import critical_beta
 from gibbsmarkov.cli import main
+from gibbsmarkov.expansion import effective_hamiltonian
 from gibbsmarkov.random_models import random_chain, tfi_chain
-from gibbsmarkov.spin_model import save_model
+from gibbsmarkov.spin_model import load_model, save_model
 
 BETA_C = critical_beta(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -64,6 +65,33 @@ class TestSubcommands:
         assert counts == [1, 2]
         for row in data["rows"]:
             assert row["count"] <= row["bound"]
+
+    def test_clusters_counts_the_clusters_that_touch_the_complement(self, capsys, tmp_path):
+        # anchor 0..30 on a 32-site chain: 62 terms meet the anchor, above
+        # the bound 48 for |L^c| = 1, but only the bond (30, 31) touches L^c
+        path = tmp_path / "chain32.json"
+        save_model(random_chain(32, beta=BETA_C / 4.0, seed=0), path)
+        out_json = tmp_path / "clusters.json"
+        rc, _ = run(capsys, [
+            "clusters", "--model", str(path), "--anchor", ",".join(map(str, range(31))),
+            "--max-order", "2", "--out", str(out_json),
+        ])
+        assert rc == 0
+        rows = json.loads(out_json.read_text())["rows"]
+        assert rows[0]["count"] == 1
+        for row in rows:
+            assert row["count"] <= row["bound"]
+
+    def test_clusters_rows_are_the_effham_boundary_counts(self, capsys, model_file, tmp_path):
+        out_json = tmp_path / "clusters.json"
+        rc, _ = run(capsys, [
+            "clusters", "--model", model_file, "--anchor", "1,2",
+            "--max-order", "3", "--out", str(out_json),
+        ])
+        assert rc == 0
+        counts = [row["count"] for row in json.loads(out_json.read_text())["rows"]]
+        res = effective_hamiltonian(load_model(model_file), (1, 2), 3)
+        assert counts == [len(res.boundary_terms[m]) for m in (1, 2, 3)]
 
     def test_effham_reports_small_ed_error(self, capsys, model_file):
         rc, out = run(capsys, [

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from gibbsmarkov import ed, expansion
-from gibbsmarkov.bounds import critical_beta
-from gibbsmarkov.clusters import enumerate_connected, enumerate_linking
+from gibbsmarkov.bounds import area_law_saturation_series, critical_beta, surface_region
+from gibbsmarkov.clusters import (
+    count_bound_check,
+    enumerate_connected,
+    enumerate_connected_to_region,
+    enumerate_linking,
+)
 from gibbsmarkov.derivatives import cluster_derivative
 from gibbsmarkov.expansion import (
     cmi_expansion,
@@ -298,7 +303,7 @@ class TestCmiExpansion:
         # nearest-neighbour terms: no cluster of size < d(A,C) can link A to C
         ham = random_chain(7, beta=0.5 * BETA_C, seed=43)
         res = cmi_expansion(ham, (0,), (1, 2, 3, 4, 5), (6,), order=3)
-        assert res.norm_bound_accumulated == 0.0
+        assert list(res.per_order_norm_sums.values()) == [0.0, 0.0, 0.0]
         assert np.max(np.abs(res.operator.matrix)) == 0.0
 
     def test_clusters_reaching_outside_abc_match_embed_and_sum(self):
@@ -381,13 +386,28 @@ class TestRefusals:
         lambda ham, st, v: ed.exact_cmi(st, (0,), (1,), (v,)),
         lambda ham, st, v: ed.reduced_density(st, (v,)),
         lambda ham, st, v: _vertex_list(f"0,{v}", ham),
+        lambda ham, st, v: truncation_certificate(ham, (0, v), 2),
+        lambda ham, st, v: entropy_certificate(ham, (v,), 2),
+        lambda ham, st, v: cmi_order_norm_bound(ham, (0,), (v,), 2),
+        lambda ham, st, v: surface_region(ham.graph, (v,), 1),
+        lambda ham, st, v: list(enumerate_connected_to_region(ham, (v,), 2)),
+        lambda ham, st, v: list(enumerate_connected(ham, 2, within=(0, v))),
+        lambda ham, st, v: list(enumerate_linking(ham, (0,), (v,), 2)),
+        lambda ham, st, v: count_bound_check(ham, (0, v), 2),
+        lambda ham, st, v: area_law_saturation_series(ham, (v,), [(2,), (3,)]),
+        lambda ham, st, v: area_law_saturation_series(ham, (0,), [(2,), (v,)]),
     ], ids=[
         "effective_hamiltonian", "reduced_state", "local_entropy",
         "local_observable", "local_observable-pad", "cmi_expansion-C",
         "cmi_expansion-A", "exact_cmi", "reduced_density", "cli-vertex-list",
+        "truncation_certificate", "entropy_certificate", "cmi_order_norm_bound",
+        "surface_region", "enumerate_connected_to_region", "enumerate_connected-within",
+        "enumerate_linking", "count_bound_check", "area_law-A", "area_law-slice",
     ])
-    def test_vertex_outside_the_graph(self, chain6, call, vertex):
+    def test_vertex_outside_the_graph(self, chain6, call, vertex, monkeypatch):
         ham, st = chain6
+        # a region is refused before any dense diagonalization runs
+        monkeypatch.setattr(ed, "exact_gibbs", _no_exact_gibbs)
         with pytest.raises(ValidationError, match=rf"vertex {vertex} is not in the graph \(0\.\.5\)"):
             call(ham, st, vertex)
 
@@ -411,3 +431,17 @@ class TestRefusals:
             cmi_expansion(ham, a, b, c, 2)
         with pytest.raises(ValidationError, match="regions must be disjoint"):
             ed.exact_cmi(st, a, b, c)
+
+    @pytest.mark.parametrize("call", [
+        lambda ham: list(enumerate_linking(ham, (0, 1), (1, 2), 2)),
+        lambda ham: cmi_order_norm_bound(ham, (0, 1), (1, 2), 2),
+        lambda ham: area_law_saturation_series(ham, (0,), [(2, 3), (3, 4)]),
+    ], ids=["enumerate_linking", "cmi_order_norm_bound", "area_law-slices"])
+    def test_overlapping_regions(self, chain6, call, monkeypatch):
+        monkeypatch.setattr(ed, "exact_gibbs", _no_exact_gibbs)
+        with pytest.raises(ValidationError, match="regions must be disjoint"):
+            call(chain6[0])
+
+
+def _no_exact_gibbs(*args, **kwargs):
+    raise AssertionError("dense diagonalization ran before the regions were checked")

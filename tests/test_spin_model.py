@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gibbsmarkov.random_models import power_law_chain
 from gibbsmarkov.spin_model import (
     FiniteRange,
     ModelError,
@@ -110,6 +111,18 @@ class TestValidation:
         assert ham.beta == 0.0
         assert ham.with_beta(0.1).with_beta(0).beta == 0.0
 
+    def test_empty_support_rejected(self):
+        # a constant term would enter both the bare part of H_eff and the
+        # scalar channel log Z_{L^c}
+        with pytest.raises(ValidationError, match="term support is empty"):
+            build_hamiltonian(chain(2), [((), [[0.5]])], FiniteRange(1), beta=0.1)
+
+
+class TestRegions:
+    def test_check_regions_returns_sorted_distinct_tuples(self):
+        assert chain(4).check_regions((3, 1, 1), (0,)) == ((1, 3), (0,))
+        assert chain(4).check_regions() == ()
+
 
 class TestPowerLawTails:
     def max_admissible_j(self, n, alpha):
@@ -152,6 +165,27 @@ class TestPowerLawTails:
         ]
         with pytest.raises(ValidationError):
             build_hamiltonian(g, terms, PowerLaw(alpha), beta=1e-4)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0])
+    def test_exponent_that_is_not_positive_rejected(self, alpha, tmp_path):
+        g = chain(2)
+        with pytest.raises(ValidationError, match=f"alpha must be positive, got {alpha}"):
+            build_hamiltonian(g, [((0, 1), 0.1 * ZZ)], PowerLaw(alpha), beta=1e-4)
+        # Python's JSON reader parses NaN, so a model file can carry it
+        data = json.loads((MODELS / "powerlaw_chain6.json").read_text())
+        data["interaction_class"] = {"power_law": alpha}
+        path = tmp_path / "bad_alpha.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=f"alpha must be positive, got {alpha}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("alpha, beta, name", [
+        (-1.0, 1e-4, "alpha"), (math.nan, 1e-4, "alpha"),
+        (2.0, -1.0, "beta"), (2.0, math.nan, "beta"),
+    ])
+    def test_power_law_chain_refuses_bad_inputs(self, alpha, beta, name):
+        with pytest.raises(ValidationError, match=name):
+            power_law_chain(6, alpha, beta, seed=0)
 
     def test_infinite_diameter_term_rejected(self):
         # (0, 2) joins two components: its diameter is infinite, so it sits
