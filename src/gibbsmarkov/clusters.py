@@ -3,9 +3,10 @@
 A cluster is a multiset of term indices into ``Hamiltonian.terms``.  Its
 multiplicity n_w counts the ordered sequences realizing the multiset.
 Every enumerator runs one grower, ``_grow``, whose cost scales with the
-clusters it emits.  The predicates ``is_connected``, ``is_connected_to`` and
-``links_regions`` decide connectivity on the intersection graph of the
-supports, with anchor regions attached as virtual nodes; they are the
+clusters it emits; the scalar series grows connected site sets instead
+(``_site_sets``).  The predicates ``is_connected``, ``is_connected_to``
+and ``links_regions`` decide connectivity on the intersection graph of
+the supports, with anchor regions attached as virtual nodes; they are the
 independent reference for the enumerators.
 """
 
@@ -120,11 +121,11 @@ def links_regions(ham: Hamiltonian, cluster: Cluster, a_region, b_region) -> boo
     return bool(sup & a_set) and bool(sup & b_set)
 
 
-def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=(), within=None) -> list[Cluster]:
-    """Size-m clusters of terms inside ``within`` (default: the whole graph)
-    that hold a term meeting ``seeds`` (default: any term) and are connected
-    to ``anchor`` (connected outright when it is empty), in the sorted order
-    in which a scan over all multisets of term indices would meet them.
+def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=()) -> list[Cluster]:
+    """Size-m clusters that hold a term meeting ``seeds`` (default: any
+    term) and are connected to ``anchor`` (connected outright when it is
+    empty), in the sorted order in which a scan over all multisets of term
+    indices would meet them.
 
     Level j+1 is {w + t : w in level j, t whose support meets V_w u anchor}.
     This is exhaustive: root a spanning tree of a wanted cluster's
@@ -139,16 +140,12 @@ def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=(), within=None) -> list[
     if m < 1:
         raise ValueError("m must be >= 1")
     terms = ham.terms
-    allowed = [i for i, t in enumerate(terms) if within is None or within.issuperset(t.support)]
-    masks = {i: sum(1 << v for v in terms[i].support) for i in allowed}
-    touching: dict[int, list[int]] = {}
-    for i in allowed:
-        for v in terms[i].support:
-            touching.setdefault(v, []).append(i)
+    masks, touching = _term_index(ham, range(ham.graph.vertex_count))
     anchor_mask = sum(1 << v for v in set(anchor))
     near: dict[int, set[int]] = {}  # V_w u anchor -> the terms meeting it
     level = {
-        (i,): masks[i] for i in allowed if seeds is None or seeds.intersection(terms[i].support)
+        (i,): mask for i, mask in masks.items()
+        if seeds is None or seeds.intersection(terms[i].support)
     }
     for _ in range(m - 1):
         grown: dict[tuple[int, ...], int] = {}
@@ -164,6 +161,51 @@ def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=(), within=None) -> list[
     return [Cluster(w, support(level[w])) for w in sorted(level)]
 
 
+def _site_sets(ham: Hamiltonian, region, order: int) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+    """The connected term unions V inside the vertex set ``region`` with a
+    minimal connected cover c(V), the fewest terms of a connected cluster
+    with union V, of at most ``order``: V's bitmask -> (c(V), the mask of
+    the set V grew from or 0, the terms inside V but not inside that set).
+
+    Level 1 is the supports of the terms inside ``region``; level j+1 adds
+    V u supp(t) for each new V of level j and each term t meeting it.  By
+    the leaf argument of :func:`_grow`, V first appears at level c(V).
+    """
+    masks, touching = _term_index(ham, region)
+    found: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    grown = ((0, mask) for mask in masks.values())  # (parent, V) pairs of level 1
+    for level in range(1, order + 1):
+        frontier = []
+        for parent, mask in grown:
+            if mask not in found:
+                # a term inside V but not inside the parent meets V - parent
+                new = {t for v in _bits(mask & ~parent) for t in touching[v]}
+                new = {t for t in new if not masks[t] & ~mask}
+                found[mask] = level, parent, tuple(sorted(new))
+                frontier.append(mask)
+        # lazy, so the level after the last is never formed
+        grown = (
+            (v, v | masks[t])
+            for v in frontier
+            for t in sorted({t for u in _bits(v) for t in touching[u]})
+        )
+    return found
+
+
+def _term_index(ham: Hamiltonian, region) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """The vertex bitmask of each term inside the vertex set ``region``, by
+    term index, and the indices of those terms that touch each vertex, in
+    ascending order."""
+    inside = sum(1 << v for v in set(region))
+    masks = {i: sum(1 << v for v in t.support) for i, t in enumerate(ham.terms)}
+    masks = {i: mask for i, mask in masks.items() if not mask & ~inside}
+    touching: dict[int, list[int]] = {}
+    for i in masks:
+        for v in ham.terms[i].support:
+            touching.setdefault(v, []).append(i)
+    return masks, touching
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending."""
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
@@ -176,12 +218,9 @@ def enumerate_connected_to_region(ham: Hamiltonian, region, m: int):
     yield from _grow(ham, m, seeds=set(region), anchor=region)
 
 
-def enumerate_connected(ham: Hamiltonian, m: int, within=None):
-    """Stream all size-m connected clusters in canonical order, only those
-    inside the vertex set ``within`` when it is given."""
-    if within is not None:
-        (within,) = ham.graph.check_regions(within)
-    yield from _grow(ham, m, within=None if within is None else set(within))
+def enumerate_connected(ham: Hamiltonian, m: int):
+    """Stream all size-m connected clusters in canonical order."""
+    yield from _grow(ham, m)
 
 
 def enumerate_linking(ham: Hamiltonian, a_region, c_region, m: int):

@@ -23,14 +23,12 @@ sub-multiset share its moment.  One :class:`MomentTable` per expansion call
 memoizes the symmetrized products and the moments, so every cluster and all
 four CMI regions read each of them from one place, along with the
 contraction plans and log-step workspace those reads need; nothing in it
-outlives the call that made it.  Every partial trace here, of a kept
-moment or of the stacked factors of full ones, is one
-:func:`~gibbsmarkov.operators.trace_out`, and every identity padding one
-:func:`~gibbsmarkov.operators.add_embedded`.  A series that knows a whole
-level of clusters up front (log Z and the scalar channel) hands it to
-:meth:`MomentTable.prime`, which forms the level's full-trace moments from
-stacked partial traces, bitwise as one by one; the per-cluster
-:func:`cluster_derivative` calls still run and read them.  An independent
+outlives the call that made it.  Every partial trace here, full ones
+included, is one :func:`~gibbsmarkov.operators.trace_out` of a product, and
+every identity padding one :func:`~gibbsmarkov.operators.add_embedded`.
+This per-cluster route serves the kept regions of the effective
+Hamiltonian and the CMI; log Z and the scalar channel sum over connected
+site sets instead (``expansion._scalar_terms``).  An independent
 exact reference that shares no combinatorics with this module lives next
 to the suite that uses it, in :func:`gibbsmarkov.verify.exact_derivative`.
 """
@@ -101,26 +99,13 @@ class MomentTable:
 
         W(alpha, K) = (-beta)^|alpha| / |alpha|! * tr_{V_alpha - K} P(alpha) / d^|V_alpha - K|,
 
-    tensored with the identity on the sites of K outside V_alpha.  A full
-    trace (K disjoint from V_alpha) is cyclic, so each element comes last in
-    1/|alpha| of the orderings and P(alpha) is never formed for it,
-
-        tr P(alpha) = |alpha| tr(P(alpha - e) h_e) = |alpha| sum_ij A_ij B_ji,
-
-    with e chosen so that alpha - e stays connected and its product stored,
-    and A, B the partial traces of P(alpha - e) and h_e onto the sites they
-    share.  :meth:`prime` takes these moments for a whole level of clusters
-    at once, one stacked :func:`~gibbsmarkov.operators.trace_out` per size
-    and site pattern; a lone miss in :meth:`moment` runs the same kernel on
-    a stack of one.  ``trace_out`` sums each stacked operator in the same
-    order whatever the stack's length, so the moment does not depend on the
-    batch it was formed in.  A partial trace is not cyclic, so a kept moment
-    is one ``trace_out`` of P(alpha) itself.  The products of proper
-    sub-multisets of a cluster are the building blocks of its own product,
-    so they are stored anyway; the product of the cluster being
-    differentiated is held in a single slot instead, where every kept region
-    of that cluster (the four of a CMI term) reads it, and the next
-    cluster's product replaces it.
+    tensored with the identity on the sites of K outside V_alpha: one
+    :func:`~gibbsmarkov.operators.trace_out` of P(alpha), a full trace when
+    K misses V_alpha.  The products of proper sub-multisets of a cluster
+    are the building blocks of its own product, so they are stored anyway;
+    the product of the cluster being differentiated is held in a single
+    slot instead, where every kept region of that cluster (the four of a
+    CMI term) reads it, and the next cluster's product replaces it.
 
     When the supports of alpha fall apart into components alpha_1 ... alpha_c
     (each connected), their terms commute across components, so
@@ -190,19 +175,6 @@ class MomentTable:
         hit = self._shapes[alpha] = support, components
         return hit
 
-    def _last(self, alpha) -> int:
-        """The position of an element e of the connected alpha whose removal
-        leaves alpha - e connected: a repeated term if alpha has one, else
-        the last element that is no cut vertex of the overlap graph.  Only
-        the full-trace moment of alpha asks, once."""
-        for pos in range(1, len(alpha)):
-            if alpha[pos] == alpha[pos - 1]:
-                return pos
-        return next(
-            pos for pos in reversed(range(len(alpha)))
-            if not self._shape(alpha[:pos] + alpha[pos + 1:])[1]
-        )
-
     def _steps(self, alpha):
         """(count, V, P(alpha - e_j), h_j) for each distinct term j of alpha."""
         terms = self.ham.terms
@@ -266,64 +238,13 @@ class MomentTable:
         elif own != kept:
             base = self.moment(alpha, own)
             hit = embed_matrix(base, [kept.index(v) for v in own], len(kept), d)
-        elif own or m == 1:
+        else:
             coeff = (-self.ham.beta) ** m / math.factorial(m) / d ** (len(support) - len(own))
             prod = self._product(alpha, hold=True)[1]
             keep = [support.index(v) for v in own]
             hit = coeff * trace_out(prod, keep, len(support), d)
-        else:
-            self._full_traces([alpha], column)
-            return column[alpha]
         column[alpha] = hit
         return hit
-
-    def _full_traces(self, alphas, column: dict) -> None:
-        """Store W(alpha, ()) in ``column`` for connected alphas of two or
-        more elements.  A full trace is cyclic, so every element comes last
-        in 1/m of the orderings: tr P(alpha) = m tr(P(alpha - e) h_e), with
-        e from :meth:`_last`, and that trace is sum_ij A_ij B_ji for the
-        partial traces A of P(alpha - e) and B of h_e onto the sites they
-        share.  Alphas of one size and site pattern take A and B in one
-        stacked :func:`~gibbsmarkov.operators.trace_out` each, so a lone
-        alpha gets bitwise the moment it gets among many."""
-        d, beta, terms = self.ham.local_dim, self.ham.beta, self.ham.terms
-        groups: dict = {}
-        for alpha in alphas:
-            pos = self._last(alpha)
-            sites, rest = self._product(alpha[:pos] + alpha[pos + 1:])
-            term = terms[alpha[pos]]
-            keep = tuple(p for p, v in enumerate(sites) if v in term.support)
-            term_keep = tuple(p for p, v in enumerate(term.support) if v in sites)
-            key = len(alpha), len(sites), keep, len(term.support), term_keep
-            groups.setdefault(key, []).append((alpha, rest, term.matrix))
-        for (m, n, keep, k, term_keep), items in groups.items():
-            # m (-beta)^m / m! / d^|V_alpha|, with |V_alpha| = n + k - |keep|
-            scale = (-beta) ** m / math.factorial(m - 1) / d ** (n + k - len(keep))
-            step = max(1, (1 << 20) // items[0][1].nbytes)  # stacks of at most ~1 MB
-            for lo in range(0, len(items), step):
-                chunk, rests, ops = zip(*items[lo:lo + step])
-                left = trace_out(np.array(rests), keep, n, d)
-                right = trace_out(np.array(ops), term_keep, k, d)
-                traces = np.einsum("...ij,...ji->...", left, right)
-                traces *= scale
-                column.update(zip(chunk, traces.reshape(-1, 1, 1)))
-
-    def prime(self, clusters) -> None:
-        """Fill the full-trace moments of the connected ``clusters`` of one
-        level, stacked by site pattern (:meth:`_full_traces`), taking each
-        V_w from ``cluster.support``.  The per-cluster
-        :func:`cluster_derivative` calls that follow read them from the
-        table."""
-        column = self._moments.setdefault((), {})
-        misses = []
-        for cluster in clusters:
-            alpha = cluster.term_indices
-            if alpha not in self._shapes:
-                support = self._supports.setdefault(cluster.support, cluster.support)
-                self._shapes[alpha] = support, ()
-            if len(alpha) > 1 and alpha not in column:
-                misses.append(alpha)
-        self._full_traces(misses, column)
 
     def _subset_moments(self, term_indices, kept) -> list[np.ndarray]:
         """W(alpha, kept) for the sub-multisets alpha that the nonempty
@@ -335,7 +256,7 @@ class MomentTable:
         cluster's own product is held rather than stored."""
         cached = self._moments.setdefault(kept, {}).get
         out = []
-        for pick in reversed(_subset_layout(len(term_indices))[1]):
+        for pick in reversed(_subset_layout(len(term_indices))[0]):
             alpha = pick(term_indices)
             hit = cached(alpha)
             out.append(self.moment(alpha, kept) if hit is None else hit)
@@ -358,18 +279,17 @@ class MomentTable:
 @functools.lru_cache(maxsize=None)
 def _subset_layout(m: int):
     """The 2^m subsets of m elements in order of size, so that the empty set
-    is first and the full set last: the element positions of each; for each
-    nonempty one, an itemgetter that picks its elements out of a tuple as a
-    tuple; the index arrays (s, t, b) of the pairs with t a nonempty proper
-    subset of s and b = s - t; and the index of the first subset of each
-    size 0..m."""
+    is first and the full set last: for each nonempty one, an itemgetter
+    that picks its elements out of a tuple as a tuple; the index arrays
+    (s, t, b) of the pairs with t a nonempty proper subset of s and
+    b = s - t; and the index of the first subset of each size 0..m."""
     masks = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
     index = {x: i for i, x in enumerate(masks)}
-    members = tuple(tuple(j for j in range(m) if x >> j & 1) for x in masks)
+    members = (tuple(j for j in range(m) if x >> j & 1) for x in masks[1:])
     # a singleton is picked as a one-element slice, so it comes out a tuple
     pickers = tuple(
         operator.itemgetter(*e) if len(e) > 1 else operator.itemgetter(slice(e[0], e[0] + 1))
-        for e in members[1:]
+        for e in members
     )
     pairs = [
         (index[x], index[y], index[x ^ y])
@@ -379,29 +299,7 @@ def _subset_layout(m: int):
     for shared in (s, t, b):
         shared.setflags(write=False)
     sizes = [x.bit_count() for x in masks]
-    return members, pickers, s, t, b, tuple(sizes.index(q) for q in range(m + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _partition_layout(m: int):
-    """The set partitions of m elements, for the log step with nothing kept:
-    per partition, the :func:`_subset_layout` indices of its blocks padded
-    with the empty set (index 0) to m columns, and its coefficient
-    (-1)^(k-1) (k-1)! for k blocks."""
-    members = _subset_layout(m)[0]
-    index = {sum(1 << j for j in e): i for i, e in enumerate(members)}
-    partitions = [[]]
-    for j in range(m):
-        # element j joins each block of a partition of the first j, or
-        # opens a block of its own
-        partitions = [
-            p[:i] + [p[i] | 1 << j] + p[i + 1:] for p in partitions for i in range(len(p))
-        ] + [p + [1 << j] for p in partitions]
-    blocks = np.array([[index[x] for x in p] + [0] * (m - len(p)) for p in partitions])
-    coeffs = np.array([(-1.0) ** (len(p) - 1) * math.factorial(len(p) - 1) for p in partitions])
-    for shared in (blocks, coeffs):
-        shared.setflags(write=False)
-    return blocks, coeffs
+    return pickers, s, t, b, tuple(sizes.index(q) for q in range(m + 1))
 
 
 def cluster_derivative(
@@ -432,14 +330,8 @@ def cluster_derivative(
     overwrites its blocks in place; the contraction plans its moments use
     live in the same table.
 
-    When nothing is kept, the moments are numbers and commute, so the
-    ordered partitions collapse onto set partitions pi, and D_w G is the
-    joint cumulant
-
-        D_w G = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod_{B in pi} W_B,
-
-    read off one cached table of the Bell(m) partitions (4140 at m = 8)
-    instead of the block products.
+    With nothing kept (a CMI piece whose region misses V_w) the moments are
+    numbers, and the same chain runs at kept dimension 1.
 
     When nothing is traced, G = -beta sum_j a_j h_j is linear, so D_w G is
     -beta h_j at m = 1 and zero at m >= 2; no moment is formed.  Nor is one
@@ -460,14 +352,10 @@ def cluster_derivative(
         moments = MomentTable(ham)
     if moments._shape(cluster.term_indices)[1]:
         return np.zeros((dim, dim), dtype=complex)
-    _, _, s, t, b, starts = _subset_layout(m)
+    _, s, t, b, starts = _subset_layout(m)
     n = 1 << m
     weights = np.empty((n, dim, dim), dtype=complex)
     weights[1:] = moments._subset_moments(cluster.term_indices, kept)
-    if not kept:
-        weights[0] = 1.0  # W of the empty set, read by the partition padding
-        blocks, coeffs = _partition_layout(m)
-        return (coeffs @ weights.reshape(n)[blocks].prod(axis=1)).reshape(1, 1)
     # M e_empty is the moment column itself, so the chain starts at q = 2
     # and never reads the empty-set column of M, which stays zero
     column = weights[1:].reshape((n - 1) * dim, dim)

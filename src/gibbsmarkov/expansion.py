@@ -17,6 +17,7 @@ by an explicit geometric series — the truncation certificate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,11 +25,7 @@ import numpy as np
 
 from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, sum_embedded
 from .spin_model import FiniteRange, Hamiltonian, ModelError, ValidationError
-from .clusters import (
-    enumerate_connected,
-    enumerate_connected_to_region,
-    enumerate_linking,
-)
+from .clusters import _bits, _site_sets, enumerate_connected_to_region, enumerate_linking
 from .derivatives import MomentTable, cluster_derivative, cmi_cluster_term
 from .bounds import critical_beta, surface_region
 from . import ed
@@ -131,18 +128,74 @@ def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
 def _scalar_series(ham: Hamiltonian, region, order: int) -> float:
     """log tr e^{-beta H_region} via the cluster series on the region, a
     sequence of distinct vertex ids."""
-    value = len(region) * math.log(ham.local_dim)
-    moments = MomentTable(ham)
-    for m in range(1, order + 1):
-        level = list(enumerate_connected(ham, m, within=region))
-        # the level's own moments in stacked contractions; the per-cluster
-        # derivatives below then read them from the table
-        moments.prime(level)
-        for cluster in level:
-            sigma = cluster_derivative(ham, cluster, (), moments=moments)
-            weight = cluster.multiplicity / math.factorial(m)
-            value += weight * float(sigma[0, 0].real)
-    return value
+    per_order = _scalar_terms(ham, region, order)
+    return len(region) * math.log(ham.local_dim) + float(per_order.sum())
+
+
+def _scalar_terms(ham: Hamiltonian, region, order: int) -> np.ndarray:
+    """The order-m terms of log tr e^{-beta H_region} / d^|region|, m = 1..order.
+
+    A cluster whose supports fall apart contributes zero, so the sum over
+    clusters regroups by V_w (the linked-cluster construction): with H_V
+    the terms inside V, P(V) = log tr e^{-beta H_V} / d^|V| is the sum of
+    W(T) over T <= V, W(T) the sum over the clusters with V_w = T.  W(T)
+    starts at order c(T), so the sets of ``clusters._site_sets`` carry
+    every term, and W(V) = P(V) - sum_{T < V} W(T), smaller sets first,
+    with its orders below c(V) set to exactly 0.  H_V is the H of the set V
+    grew from, embedded, plus the terms new to V; it is dropped once every
+    set grown from V has read it.
+    """
+    d, beta, terms = ham.local_dim, ham.beta, ham.terms
+    sets = _site_sets(ham, region, order)
+    readers = Counter(parent for _, parent, _ in sets.values())
+    held: dict = {}  # V -> H_V, while a set grown from V is still to come
+    weights: dict = {}  # V -> W_1..W_order(V)
+    total = np.zeros(order)
+    for mask in sorted(sets, key=lambda v: (v.bit_count(), v)):
+        level, parent, new = sets[mask]
+        sites = _bits(mask)
+        h = sum_embedded(((1.0, terms[i]) for i in new), sites, d)
+        if parent:
+            add_embedded(h, held[parent], [sites.index(v) for v in _bits(parent)], len(sites), d)
+            readers[parent] -= 1
+            if not readers[parent]:
+                del held[parent]
+        if readers[mask]:
+            held[mask] = h
+        w = _log_trace_series(h, beta, order)
+        sub = (mask - 1) & mask
+        while sub:
+            part = weights.get(sub)
+            if part is not None:
+                w -= part
+            sub = (sub - 1) & mask
+        w[:level - 1] = 0.0
+        weights[mask] = w
+        total += w
+    return total
+
+
+def _log_trace_series(h: np.ndarray, beta: float, order: int) -> np.ndarray:
+    """The t^1..t^order coefficients of log tr e^{-beta t h} / dim for a
+    Hermitian h: -beta mu t, mu the mean of h, plus the t-series of
+    log(1 + sum_q (-beta)^q tr(C^q) / (dim q!) t^q) with C = h - mu."""
+    dim = h.shape[0]
+    mean = np.trace(h).real / dim
+    centered = h - mean * np.eye(dim)
+    powers = [None, centered]  # C^1 .. C^ceil(order/2)
+    for _ in range(2, (order + 3) // 2):
+        powers.append(powers[-1] @ centered)
+    a = np.zeros(order + 1)
+    for q in range(2, order + 1):
+        trace = np.vdot(powers[q // 2], powers[(q + 1) // 2]).real
+        a[q] = (-beta) ** q / math.factorial(q) * trace / dim
+    # log(1 + A) = sum_n l_n t^n: n l_n = n a_n - sum_{0<k<n} k l_k a_{n-k},
+    # where a_1 = l_1 = 0 for the centered h
+    out = np.zeros(order + 1)
+    for n in range(2, order + 1):
+        out[n] = a[n] - sum(k * out[k] * a[n - k] for k in range(2, n - 1)) / n
+    out[1] = -beta * mean
+    return out[1:]
 
 
 def effective_hamiltonian(

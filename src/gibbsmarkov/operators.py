@@ -177,9 +177,7 @@ def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
     (1x1 when none is kept).
 
     ``mat`` may be a stack of such matrices along leading axes, traced in
-    one einsum.  Each is summed in the same order whatever the stack's
-    length, so a stack of one gives bitwise what a longer stack gives for
-    that matrix.
+    one einsum, each bitwise as it would be alone.
     """
     keep = tuple(sorted(keep))
     if len(keep) == n_sites:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -68,13 +69,14 @@ class SpinGraph:
     def check_regions(self, *regions) -> tuple[tuple[int, ...], ...]:
         """The ``regions`` as sorted, duplicate-free tuples of vertex ids.
 
-        Refuses, with ValidationError, a vertex id outside 0..n-1 in any of
+        Refuses, with ValidationError, a vertex id that is not an integer
+        (``operator.index`` refuses it) or lies outside 0..n-1 in any of
         them, or a vertex that two of them share.
         """
         seen: set[int] = set()
         out = []
         for region in regions:
-            region = set(map(int, region))
+            region = set(map(_vertex_id, region))
             outside = {v for v in region if not 0 <= v < self.vertex_count}
             if outside:
                 raise ValidationError(
@@ -94,6 +96,13 @@ class SpinGraph:
         if len(support) <= 1:
             return 0.0
         return float(max(self.dist[u, v] for u in support for v in support))
+
+
+def _vertex_id(v) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValidationError(f"vertex id {v!r} is not an integer") from None
 
 
 def build_graph(vertex_count: int, edges, local_dim: int = 2) -> SpinGraph:

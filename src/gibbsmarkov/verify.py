@@ -22,6 +22,8 @@ from .bounds import (
     tail_sum_check,
 )
 from .clusters import (
+    _bits,
+    _site_sets,
     count_bound_check,
     enumerate_connected,
     enumerate_connected_to_region,
@@ -172,6 +174,7 @@ def suite_counting(seed: int) -> tuple[bool, str]:
     grid = random_grid(2, 3, 0.5 * bc, seed=seed + 1)
     for name, model, comp in (("chain", ham, (3, 4)), ("grid", grid, (4, 5))):
         region = tuple(v for v in range(model.graph.vertex_count) if v not in comp)
+        covers: dict = {}
         for m in (1, 2, 3):
             measured, bound = count_bound_check(model, comp, m)
             lines.append(f"{name} m={m} measured={measured} bound={_fmt(bound)}")
@@ -188,8 +191,6 @@ def suite_counting(seed: int) -> tuple[bool, str]:
             for label, streamed, keep in (
                 ("connected", enumerate_connected(model, m),
                  lambda w: is_connected(model, w)),
-                ("connected within complement", enumerate_connected(model, m, within=comp),
-                 lambda w: is_connected(model, w) and set(w.support) <= set(comp)),
                 ("connected to region", enumerate_connected_to_region(model, region, m),
                  lambda w: is_connected_to(model, w, region)),
                 ("linking", enumerate_linking(model, region, comp, m),
@@ -200,6 +201,16 @@ def suite_counting(seed: int) -> tuple[bool, str]:
                 lines.append(f"{name} m={m} {label}: emitted={len(got)} scan={len(want)}")
                 if got != want:
                     failures.append(f"enumeration {label} {name} m={m}")
+            # the site-set grower's c(V) of each connected union inside comp
+            for w in scan:
+                if is_connected(model, w) and set(w.support) <= set(comp):
+                    covers.setdefault(w.support, m)
+            got = {_bits(v): level for v, (level, _, _) in _site_sets(model, comp, m).items()}
+            lines.append(
+                f"{name} m={m} connected within complement: site sets={len(got)} scan={len(covers)}"
+            )
+            if got != covers:
+                failures.append(f"enumeration connected within complement {name} m={m}")
     return _report(lines, failures)
 
 

@@ -1,10 +1,13 @@
 import math
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbsmarkov.clusters import (
+    _bits,
+    _site_sets,
     count_bound_check,
     counting_bound,
     enumerate_connected,
@@ -17,10 +20,11 @@ from gibbsmarkov.clusters import (
     overlap_counts,
 )
 from gibbsmarkov import verify
-from gibbsmarkov.random_models import power_law_chain
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
+from gibbsmarkov.random_models import power_law_chain, random_chain, random_grid
+from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian, load_model
 from gibbsmarkov.verify import run_suite
 
+MODELS = Path(__file__).resolve().parent.parent / "models"
 ZZ = np.kron(PAULI["Z"], PAULI["Z"])
 
 
@@ -118,7 +122,7 @@ class TestEnumeration:
 
     def test_exhaustive_equivalence_on_grid(self):
         ham = grid_ham(3, 3)
-        center, inside = (4,), {0, 1, 2, 3, 4, 5}
+        center = (4,)
         for m in (1, 2, 3):
             cases = [
                 (
@@ -126,10 +130,6 @@ class TestEnumeration:
                     lambda w: is_connected_to(ham, w, center),
                 ),
                 (enumerate_connected(ham, m), lambda w: is_connected(ham, w)),
-                (
-                    enumerate_connected(ham, m, within=inside),
-                    lambda w: is_connected(ham, w) and set(w.support) <= inside,
-                ),
             ]
             for streamed, keep in cases:
                 assert [w.term_indices for w in streamed] == brute_force(ham, m, keep)
@@ -170,6 +170,33 @@ class TestEnumeration:
         for idxs in linking:
             sup = set(make_cluster(ham, idxs).support)
             assert 0 in sup and 4 in sup
+
+
+class TestSiteSets:
+    @pytest.mark.parametrize("build, region, order", [
+        (lambda: random_chain(6, 1e-3, seed=1), (0, 1, 2, 4, 5), 5),
+        (lambda: random_grid(2, 3, 1e-3, seed=2), range(6), 5),
+        (lambda: load_model(MODELS / "powerlaw_chain6.json"), (0, 1, 2, 3, 5), 5),
+    ], ids=["chain6-split", "grid2x3", "powerlaw_chain6"])
+    def test_minimal_cover_matches_a_brute_force_scan(self, build, region, order):
+        # the smallest connected multiset inside the region with each union
+        ham, inside = build(), set(region)
+        covers = {}
+        for m in range(1, order + 1):
+            for idxs in brute_force(
+                ham, m, lambda w: is_connected(ham, w) and inside.issuperset(w.support)
+            ):
+                covers.setdefault(make_cluster(ham, idxs).support, m)
+        sets = _site_sets(ham, region, order)
+        assert {_bits(v): level for v, (level, _, _) in sets.items()} == covers
+        for v, (level, parent, new) in sets.items():
+            # V grew from a set one level down, and the terms new to V are
+            # those inside V but not inside that set
+            assert parent & ~v == 0 and parent != v
+            assert (sets[parent][0] if parent else 0) == level - 1
+            within = {i for i, t in enumerate(ham.terms) if set(t.support) <= set(_bits(v))}
+            before = {i for i, t in enumerate(ham.terms) if set(t.support) <= set(_bits(parent))}
+            assert new == tuple(sorted(within - before))
 
 
 class TestOverlapCounts:

@@ -9,7 +9,6 @@ construction and shares no combinatorics with ``beta-taylor``.
 
 import functools
 import math
-from pathlib import Path
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -27,14 +26,12 @@ from gibbsmarkov.derivatives import (
 )
 from gibbsmarkov.expansion import effective_hamiltonian
 from gibbsmarkov.operators import embed, embed_matrix, operator_norm
-from gibbsmarkov.random_models import random_chain, random_grid
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian, load_model
+from gibbsmarkov.random_models import random_chain
+from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
 from gibbsmarkov import verify
 from gibbsmarkov.verify import exact_derivative, run_suite
 
 from conftest import random_hermitian
-
-MODELS = Path(__file__).resolve().parent.parent / "models"
 
 ZZ = np.kron(PAULI["Z"], PAULI["Z"])
 XX = np.kron(PAULI["X"], PAULI["X"])
@@ -292,8 +289,8 @@ class TestTableMemory:
 
 class TestScalarMoment:
     def test_one_contraction_matches_sum_over_orderings(self, rng):
-        # tr P(alpha) = m tr(P(alpha - e) h_e) by cyclicity; check it against
-        # the plain sum over all m! orderings on every sub-multiset of a
+        # the full trace of the symmetrized product P(alpha), against the
+        # plain sum over all m! orderings, on every sub-multiset of a
         # 4-element cluster with a repeated term
         ham = next(TestMethodAgreement().cases(rng))[0]
         i1, i2, i3 = (term_index(ham, s) for s in [(0, 1), (1, 2), (2,)])
@@ -316,27 +313,6 @@ class TestScalarMoment:
             got = MomentTable(ham).moment(alpha, ())
             assert got.shape == (1, 1)
             assert abs(got[0, 0] - expected) <= 1e-14 * abs(expected)
-
-
-    @pytest.mark.parametrize("build", [
-        lambda: random_chain(8, beta=0.5 * critical_beta(2), seed=2),
-        lambda: random_grid(3, 3, beta=0.5 * critical_beta(2), seed=4),
-        lambda: load_model(MODELS / "powerlaw_chain6.json"),
-    ], ids=["chain8", "grid3x3", "powerlaw_chain6"])
-    def test_primed_level_is_bitwise_equal_to_lone_misses(self, build):
-        # a level's full traces formed in stacks, against every moment
-        # formed on its own on a fresh table
-        ham = build()
-        primed = MomentTable(ham)
-        for m in range(1, 5):
-            level = list(enumerate_connected(ham, m))
-            primed.prime(level)
-            assert all(c.term_indices in primed._moments[()] for c in level if c.size > 1)
-            for c in level:
-                cluster_derivative(ham, c, (), moments=primed)
-        alone = MomentTable(ham)
-        for alpha, hit in primed._moments[()].items():
-            assert np.array_equal(alone.moment(alpha, ()), hit)
 
 
 class TestVanishing:

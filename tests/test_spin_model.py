@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,13 @@ class TestRegions:
     def test_check_regions_returns_sorted_distinct_tuples(self):
         assert chain(4).check_regions((3, 1, 1), (0,)) == ((1, 3), (0,))
         assert chain(4).check_regions() == ()
+        assert chain(4).check_regions((np.int64(3), True)) == ((1, 3),)
+
+    @pytest.mark.parametrize("vertex", [1.7, "1", np.float64(2.0)])
+    def test_check_regions_refuses_an_id_that_is_not_an_integer(self, vertex):
+        message = re.escape(f"vertex id {vertex!r} is not an integer")
+        with pytest.raises(ValidationError, match=message):
+            chain(4).check_regions((vertex, True))
 
 
 class TestPowerLawTails:
