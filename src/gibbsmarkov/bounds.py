@@ -136,6 +136,20 @@ def power_law_cmi_bound(
     return BoundReport("power_law_cmi_bound", value, valid, reason, inputs)
 
 
+def cmi_decay_bound(ham: Hamiltonian, a_region, c_region) -> BoundReport:
+    """The CMI decay bound that applies to the model at distance d(A, C):
+    for a power-law model the power-law bound on min(|A|, |C|), else the
+    finite-range bound on the r-surfaces of A and C."""
+    a, c = ham.graph.check_regions(a_region, c_region)
+    d_ac = ham.graph.distance(a, c)
+    if isinstance(ham.interaction_class, PowerLaw):
+        alpha = ham.interaction_class.alpha
+        return power_law_cmi_bound(min(len(a), len(c)), ham.beta, ham.k, alpha, d_ac)
+    r = ham.range_r
+    surf = min(len(surface_region(ham.graph, x, r)) for x in (a, c))
+    return finite_range_cmi_bound(surf, ham.beta, critical_beta(ham.k), d_ac, r)
+
+
 def recovery_error_bound(cmi: float) -> float:
     """Trace-norm error of the local recovery map guaranteed by a small CMI:
     sqrt(cmi * log 2)."""
@@ -146,13 +160,11 @@ def recovery_error_bound(cmi: float) -> float:
 
 def area_law_saturation_series(ham: Hamiltonian, a_region, slices):
     """Mutual-information increments I(A:B_1..B_l) - I(A:B_1..B_{l-1}) for a
-    growing sequence of disjoint slices, each paired with the finite-range
-    CMI bound at the slice's distance.  Exact-diagonalization backed."""
+    growing sequence of disjoint slices, each paired with the model's CMI
+    decay bound for C = B_l, since the increment is I(A:B_l | B_1..B_{l-1}).
+    Exact-diagonalization backed."""
     a, *slices = ham.graph.check_regions(a_region, *slices)
     st = ed.exact_gibbs(ham)
-    beta_c = critical_beta(ham.k)
-    r = ham.range_r
-    surf_a = len(surface_region(ham.graph, a, r))
     out = []
     prev = ed.exact_cmi(st, a, (), ())  # I(A:empty) = 0
     grown: tuple[int, ...] = ()
@@ -161,12 +173,7 @@ def area_law_saturation_series(ham: Hamiltonian, a_region, slices):
         increment = mi - prev
         prev = mi
         grown += new
-        d_ac = ham.graph.distance(a, new)
-        surf_c = len(surface_region(ham.graph, new, r))
-        bound = finite_range_cmi_bound(
-            min(surf_a, surf_c), ham.beta, beta_c, d_ac, r
-        )
-        out.append((increment, bound))
+        out.append((increment, cmi_decay_bound(ham, a, new)))
     return out
 
 

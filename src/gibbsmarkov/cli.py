@@ -1,15 +1,18 @@
-"""Command-line frontend.
+"""Command-line frontend, a thin shell over the library.
 
 Subcommands: clusters, effham, logz, reduced, observable, entropy, cmi,
-bound, verify.  Human-readable tables go to stdout; ``--out`` writes the same
-data as JSON.  Every run starts with a provenance block echoing the effective
-configuration.
+bound, verify.  ``main`` loads the model of a model subcommand once; each
+``cmd_*`` checks its inputs, computes, and hands its report lines and JSON
+payload to ``_run``.  Human-readable tables go to stdout; ``--out`` writes
+the same data as JSON.  Every report starts with a provenance block echoing
+the effective configuration, and echoes each region as computed: sorted,
+each vertex once.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import dataclasses
 import json
 import sys
 
@@ -17,11 +20,11 @@ import numpy as np
 
 from . import __version__, ed
 from .bounds import (
+    cmi_decay_bound,
     critical_beta,
     finite_range_cmi_bound,
     power_law_cmi_bound,
     recovery_error_bound,
-    surface_region,
 )
 from .clusters import counting_bound, enumerate_connected_to_region
 from .expansion import (
@@ -34,38 +37,23 @@ from .expansion import (
     reduced_state,
     truncation_certificate,
 )
-from .spin_model import PAULI, FiniteRange, ModelError, load_model
-from .operators import OperatorError, SupportedOperator
+from .spin_model import ModelError, load_model, pauli_string
+from .operators import SupportedOperator
 from .verify import SUITES, run_suite
 
 
-def _vertex_list(text: str, ham) -> tuple[int, ...]:
-    """Comma-separated vertex ids, each a vertex of the model's graph."""
-    if not text:
-        return ()
+def _ids(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, in the order given."""
     try:
-        vertices = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(",")) if text else ()
     except ValueError:
         raise ModelError(f"bad vertex list {text!r}: expected comma-separated integers") from None
-    ham.graph.check_regions(vertices)
-    return vertices
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, help="model file (JSON)")
-    p.add_argument("--beta", type=float, default=None, help="override model beta")
-    p.add_argument(
-        "--rescale",
-        action="store_true",
-        help="rescale terms (and beta) instead of rejecting over-normalized models",
-    )
-
-
-def _load(args):
-    ham = load_model(args.model, rescale=args.rescale)
-    if args.beta is not None:
-        ham = ham.with_beta(args.beta)
-    return ham
+def _vertex_list(text: str, ham) -> tuple[int, ...]:
+    """Comma-separated vertex ids as ``check_regions`` returns them: sorted,
+    each once, each a vertex of the model's graph."""
+    return ham.graph.check_regions(_ids(text))[0]
 
 
 # The series subcommands, which take --order, and their default orders.
@@ -77,63 +65,59 @@ DEFAULT_ORDER = {
 def _pick_order(ham, args) -> int:
     """--order, else the smallest order whose certificate on --region is
     <= n*epsilon, else the subcommand's default."""
-    order = args.order
+    order, epsilon = args.order, getattr(args, "epsilon", None)
     if order is not None and order < 0:
         raise ModelError(f"--order must be >= 0, got {order}")
-    epsilon = getattr(args, "epsilon", None)
     if epsilon is not None and not epsilon > 0:
         raise ModelError(f"--epsilon must be > 0, got {epsilon}")
-    if order is None and epsilon is not None:
-        region = _vertex_list(args.region, ham)
-        target = epsilon * ham.graph.vertex_count
-        for m0 in range(0, 32):
-            value, valid = truncation_certificate(ham, region, m0)
-            if valid and value <= target:
-                order = m0
-                break
-        else:
-            raise ModelError(f"no order up to 31 meets --epsilon {epsilon}")
-    if order is None:
-        order = DEFAULT_ORDER[args.command]
-    return order
+    if order is not None or epsilon is None:
+        return DEFAULT_ORDER[args.command] if order is None else order
+    region = _vertex_list(args.region, ham)
+    for m0 in range(32):
+        value, valid = truncation_certificate(ham, region, m0)
+        if valid and value <= epsilon * ham.graph.vertex_count:
+            return m0
+    raise ModelError(f"no order up to 31 meets --epsilon {epsilon}")
 
 
-def _provenance(args, ham=None) -> dict:
+def _exact(ham, args):
+    """The ED Gibbs state for the exact comparison; None above --ed-limit sites."""
+    small = ham.graph.vertex_count <= args.ed_limit
+    return ed.exact_gibbs(ham, limit=args.ed_limit) if small else None
+
+
+def _status(valid: bool, why: str = "") -> str:
+    """The tag of a certificate line."""
+    if valid:
+        return "rigorous"
+    return f"NON-RIGOROUS ({why})" if why else "NON-RIGOROUS"
+
+
+def _run(args, ham, lines, payload: dict) -> None:
+    """Print the provenance block and then the report ``lines``, and write
+    the payload with the provenance to --out as JSON.  The provenance
+    echoes ``seed`` and ``ed_limit`` only for the subcommands that take
+    them, and the model's beta, beta_c and size when there is a model."""
     block = {"version": __version__, "command": args.command}
-    for key in ("seed", "ed_limit"):
-        if hasattr(args, key):
-            block[key] = getattr(args, key)
+    block.update({key: getattr(args, key) for key in ("seed", "ed_limit") if hasattr(args, key)})
     if ham is not None:
-        block["beta"] = ham.beta
-        block["beta_c"] = critical_beta(ham.k)
-        block["n_vertices"] = ham.graph.vertex_count
-        block["n_terms"] = len(ham.terms)
-    return block
-
-
-def _emit(args, payload: dict) -> None:
+        block.update(beta=ham.beta, beta_c=critical_beta(ham.k),
+                     n_vertices=ham.graph.vertex_count, n_terms=len(ham.terms))
+    head = [f"#   {key} = {block[key]}" for key in sorted(block)]
+    print("\n".join(["# provenance", *head, *lines]))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({"provenance": block, **payload}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _print_provenance(block: dict) -> None:
-    print("# provenance")
-    for key in sorted(block):
-        print(f"#   {key} = {block[key]}")
-
-
-def cmd_clusters(args) -> int:
-    ham = _load(args)
+def cmd_clusters(args, ham) -> int:
     if args.max_order < 0:
         raise ModelError(f"--max-order must be >= 0, got {args.max_order}")
     anchor = _vertex_list(args.anchor, ham)
     comp = set(range(ham.graph.vertex_count)).difference(anchor)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
     rows = []
-    print(f"{'m':>3} {'count':>10} {'bound':>14}")
+    lines = [f"{'m':>3} {'count':>10} {'bound':>14}"]
     for m in range(1, args.max_order + 1):
         # the clusters that touch the complement, which the bound counts:
         # the boundary clusters of effham on the same region
@@ -141,29 +125,26 @@ def cmd_clusters(args) -> int:
         count = sum(1 for w in clusters if comp.intersection(w.support))
         bound = counting_bound(ham, len(comp), m)
         rows.append({"m": m, "count": count, "bound": bound})
-        print(f"{m:>3} {count:>10} {bound:>14.4e}")
-    _emit(args, {"provenance": prov, "anchor": list(anchor), "rows": rows})
+        lines.append(f"{m:>3} {count:>10} {bound:>14.4e}")
+    _run(args, ham, lines, {"anchor": list(anchor), "rows": rows})
     return 0
 
 
-def cmd_effham(args) -> int:
-    ham = _load(args)
+def cmd_effham(args, ham) -> int:
     region = _vertex_list(args.region, ham)
     order = _pick_order(ham, args)
     res = effective_hamiltonian(ham, region, order, ed_limit=args.ed_limit)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
-    print(f"region: {list(res.region)}  order: {order}")
-    print(f"scalar part (-1/beta log Z_complement): {res.scalar_part:.12e} [{res.scalar_provenance}]")
     norms = res.per_order_norms()
-    print(f"{'m':>3} {'clusters':>9} {'norm sum':>14}")
-    for m in sorted(norms):
-        print(f"{m:>3} {len(res.boundary_terms[m]):>9} {norms[m]:>14.6e}")
-    status = "rigorous" if res.certificate_valid else "NON-RIGOROUS (beta >= beta_c)"
-    print(f"truncation certificate: {res.truncation_error:.6e} [{status}]")
+    lines = [
+        f"region: {list(region)}  order: {order}",
+        f"scalar part (-1/beta log Z_complement): {res.scalar_part:.12e} [{res.scalar_provenance}]",
+        f"{'m':>3} {'clusters':>9} {'norm sum':>14}",
+    ]
+    lines += [f"{m:>3} {len(res.boundary_terms[m]):>9} {norms[m]:>14.6e}" for m in sorted(norms)]
+    lines.append(f"truncation certificate: {res.truncation_error:.6e} "
+                 f"[{_status(res.certificate_valid, 'beta >= beta_c')}]")
     payload = {
-        "provenance": prov,
-        "region": list(res.region),
+        "region": list(region),
         "order": order,
         "scalar_part": res.scalar_part,
         "scalar_provenance": res.scalar_provenance,
@@ -171,135 +152,94 @@ def cmd_effham(args) -> int:
         "certificate": res.truncation_error,
         "certificate_valid": res.certificate_valid,
     }
-    if ham.graph.vertex_count <= args.ed_limit:
-        st = ed.exact_gibbs(ham, limit=args.ed_limit)
-        exact = ed.exact_effective_hamiltonian(st, res.region)
+    st = _exact(ham, args)
+    if st is not None:
+        exact = ed.exact_effective_hamiltonian(st, region)
         err = float(np.linalg.norm(res.effective_operator().matrix - exact.matrix, 2))
-        print(f"ED comparison: |H_eff - exact| = {err:.6e}")
+        lines.append(f"ED comparison: |H_eff - exact| = {err:.6e}")
         payload["ed_error"] = err
-    _emit(args, payload)
+    _run(args, ham, lines, payload)
     return 0
 
 
-def cmd_logz(args) -> int:
-    ham = _load(args)
+def cmd_logz(args, ham) -> int:
     order = _pick_order(ham, args)
     value, cert, valid = log_partition_function(ham, order)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
-    print(f"log Z series (order {order}): {value:.12e}")
-    status = "rigorous" if valid else "NON-RIGOROUS (beta >= beta_c)"
-    print(f"certificate: {cert:.6e} [{status}]")
-    payload = {
-        "provenance": prov,
-        "order": order,
-        "log_z": value,
-        "certificate": cert,
-        "certificate_valid": valid,
-    }
-    if ham.graph.vertex_count <= args.ed_limit:
-        st = ed.exact_gibbs(ham, limit=args.ed_limit)
-        print(f"ED comparison: log Z = {st.log_z:.12e}  |gap| = {abs(value - st.log_z):.6e}")
+    lines = [
+        f"log Z series (order {order}): {value:.12e}",
+        f"certificate: {cert:.6e} [{_status(valid, 'beta >= beta_c')}]",
+    ]
+    payload = {"order": order, "log_z": value, "certificate": cert, "certificate_valid": valid}
+    st = _exact(ham, args)
+    if st is not None:
+        lines.append(f"ED comparison: log Z = {st.log_z:.12e}  |gap| = {abs(value - st.log_z):.6e}")
         payload["ed_log_z"] = st.log_z
-    _emit(args, payload)
+    _run(args, ham, lines, payload)
     return 0
 
 
-def cmd_reduced(args) -> int:
-    ham = _load(args)
+def cmd_reduced(args, ham) -> int:
     region = _vertex_list(args.region, ham)
     order = _pick_order(ham, args)
-    state, res = reduced_state(ham, region, order)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
-    print(f"reduced state on {list(region)} at order {order}")
+    state, _ = reduced_state(ham, region, order)
     evals = np.linalg.eigvalsh(state.matrix)
-    print(f"eigenvalues: {np.array2string(evals, precision=8)}")
-    payload = {
-        "provenance": prov,
+    lines = [
+        f"reduced state on {list(region)} at order {order}",
+        f"eigenvalues: {np.array2string(evals, precision=8)}",
+    ]
+    _run(args, ham, lines, {
         "region": list(region),
         "order": order,
         "eigenvalues": [float(x) for x in evals],
-        "matrix": [[ [z.real, z.imag] for z in row] for row in state.matrix],
-    }
-    _emit(args, payload)
+        "matrix": [[[z.real, z.imag] for z in row] for row in state.matrix],
+    })
     return 0
 
 
-def cmd_observable(args) -> int:
-    ham = _load(args)
-    support = _vertex_list(args.support, ham)
-    letters = args.pauli.upper()
-    if not letters or set(letters) - set(PAULI):
-        raise ModelError(f"bad Pauli string {args.pauli!r}: expected letters from I, X, Y, Z")
-    mat = functools.reduce(np.kron, [PAULI[ch] for ch in letters])
-    try:
-        obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
-    except OperatorError as exc:
-        raise ModelError(f"--pauli {args.pauli!r} on --support {args.support!r}: {exc}") from None
+def cmd_observable(args, ham) -> int:
+    support, letters, mat = pauli_string(_ids(args.support), args.pauli.upper(), ham.local_dim)
+    obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
     if args.pad < 0:
         raise ModelError(f"--pad must be >= 0, got {args.pad}")
     order = _pick_order(ham, args)
     value, cert, valid = local_observable(ham, obs, order, pad=args.pad)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
-    print(f"<{args.coeff}*{args.pauli} on {list(support)}> = {value:.12e}")
-    status = "rigorous" if valid else "NON-RIGOROUS"
-    print(f"error certificate: {cert:.6e} [{status}]")
-    _emit(args, {"provenance": prov, "value": value, "certificate": cert,
-                 "certificate_valid": valid})
+    lines = [
+        f"<{args.coeff}*{letters} on {list(support)}> = {value:.12e}",
+        f"error certificate: {cert:.6e} [{_status(valid)}]",
+    ]
+    _run(args, ham, lines, {"value": value, "certificate": cert, "certificate_valid": valid})
     return 0
 
 
-def cmd_entropy(args) -> int:
-    ham = _load(args)
+def cmd_entropy(args, ham) -> int:
     region = _vertex_list(args.region, ham)
     order = _pick_order(ham, args)
     value, cert, valid = local_entropy(ham, region, order)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
-    print(f"entropy of {list(region)} at order {order}: {value:.12e} nats")
-    status = "rigorous" if valid else "NON-RIGOROUS"
-    print(f"error certificate: {cert:.6e} [{status}]")
-    _emit(args, {"provenance": prov, "region": list(region), "order": order,
-                 "entropy": value, "certificate": cert, "certificate_valid": valid})
+    lines = [
+        f"entropy of {list(region)} at order {order}: {value:.12e} nats",
+        f"error certificate: {cert:.6e} [{_status(valid)}]",
+    ]
+    _run(args, ham, lines, {"region": list(region), "order": order, "entropy": value,
+                            "certificate": cert, "certificate_valid": valid})
     return 0
 
 
-def cmd_cmi(args) -> int:
-    ham = _load(args)
-    a = _vertex_list(args.A, ham)
-    b = _vertex_list(args.B, ham)
-    c = _vertex_list(args.C, ham)
-    ham.graph.check_regions(a, b, c)
+def cmd_cmi(args, ham) -> int:
+    a, b, c = ham.graph.check_regions(_ids(args.A), _ids(args.B), _ids(args.C))
     order = _pick_order(ham, args)
-    st = None
-    if ham.graph.vertex_count <= args.ed_limit:
-        st = ed.exact_gibbs(ham, limit=args.ed_limit)
+    st = _exact(ham, args)
     res = cmi_expansion(ham, a, b, c, order, gibbs_state=st)
-    prov = _provenance(args, ham)
-    _print_provenance(prov)
-    print(f"A={list(a)} B={list(b)} C={list(c)}  order={order}")
-    print(f"{'m':>3} {'norm sum':>14} {'order bound':>14}")
-    for m in sorted(res.per_order_norm_sums):
-        ob = cmi_order_norm_bound(ham, a, c, m)
-        print(f"{m:>3} {res.per_order_norm_sums[m]:>14.6e} {ob:>14.6e}")
-    print(f"||H(A:C|B)|| truncated: {res.operator_norm:.6e}")
-    beta_c = critical_beta(ham.k)
-    d_ac = ham.graph.distance(a, c)
-    surf = min(
-        len(surface_region(ham.graph, a, ham.range_r)),
-        len(surface_region(ham.graph, c, ham.range_r)),
-    )
-    if isinstance(ham.interaction_class, FiniteRange):
-        rep = finite_range_cmi_bound(surf, ham.beta, beta_c, d_ac, ham.range_r)
-    else:
-        rep = power_law_cmi_bound(
-            min(len(a), len(c)), ham.beta, ham.k, ham.interaction_class.alpha, d_ac
-        )
-    print(str(rep))
+    rep = cmi_decay_bound(ham, a, c)
+    lines = [
+        f"A={list(a)} B={list(b)} C={list(c)}  order={order}",
+        f"{'m':>3} {'norm sum':>14} {'order bound':>14}",
+    ]
+    lines += [
+        f"{m:>3} {norm:>14.6e} {cmi_order_norm_bound(ham, a, c, m):>14.6e}"
+        for m, norm in sorted(res.per_order_norm_sums.items())
+    ]
+    lines += [f"||H(A:C|B)|| truncated: {res.operator_norm:.6e}", str(rep)]
     payload = {
-        "provenance": prov,
         "order": order,
         "per_order_norm_sums": {str(m): v for m, v in res.per_order_norm_sums.items()},
         "operator_norm": res.operator_norm,
@@ -308,49 +248,38 @@ def cmd_cmi(args) -> int:
     }
     if res.cmi_estimate is not None:
         exact = ed.exact_cmi(st, a, b, c)
-        print(f"tr(rho H) estimate: {res.cmi_estimate:.6e}   ED exact CMI: {exact:.6e}")
-        print(f"recovery error bound from estimate: {recovery_error_bound(max(res.cmi_estimate, 0.0)):.6e}")
+        lines.append(f"tr(rho H) estimate: {res.cmi_estimate:.6e}   ED exact CMI: {exact:.6e}")
+        lines.append("recovery error bound from estimate: "
+                     f"{recovery_error_bound(max(res.cmi_estimate, 0.0)):.6e}")
         payload["cmi_estimate"] = res.cmi_estimate
         payload["ed_cmi"] = exact
-    _emit(args, payload)
+    _run(args, ham, lines, payload)
     return 0
 
 
-def cmd_bound(args) -> int:
-    beta_c = critical_beta(args.k)
+def cmd_bound(args, ham) -> int:
     rows = []
     if args.kind in ("finite_range", "both"):
-        rep = finite_range_cmi_bound(
-            args.min_surface, args.beta, beta_c, args.d_ac, args.r
-        )
-        rows.append(rep)
+        rows.append(finite_range_cmi_bound(
+            args.min_surface, args.beta, critical_beta(args.k), args.d_ac, args.r
+        ))
     if args.kind in ("power_law", "both"):
-        rep = power_law_cmi_bound(args.min_ac, args.beta, args.k, args.alpha, args.d_ac)
-        rows.append(rep)
-    prov = _provenance(args)
-    _print_provenance(prov)
+        rows.append(power_law_cmi_bound(args.min_ac, args.beta, args.k, args.alpha, args.d_ac))
+    lines = []
     for rep in rows:
-        print(str(rep))
+        lines.append(str(rep))
         if rep.valid:
-            print(f"  recovery error bound: {recovery_error_bound(rep.value):.6e}")
-    _emit(args, {"provenance": prov, "rows": [
-        {"name": r.name, "value": r.value, "valid": r.valid, "reason": r.reason,
-         "inputs": r.inputs} for r in rows]})
+            lines.append(f"  recovery error bound: {recovery_error_bound(rep.value):.6e}")
+    _run(args, ham, lines, {"rows": [dataclasses.asdict(rep) for rep in rows]})
     return 0
 
 
-def cmd_verify(args) -> int:
-    prov = _provenance(args)
-    _print_provenance(prov)
+def cmd_verify(args, ham) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
-    all_ok = True
-    reports = {}
-    for name in names:
-        ok, report = run_suite(name, args.seed)
-        all_ok = all_ok and ok
-        reports[name] = report
-        sys.stdout.write(report)
-    _emit(args, {"provenance": prov, "ok": all_ok, "reports": reports})
+    results = {name: run_suite(name, args.seed) for name in names}
+    reports = {name: report for name, (_, report) in results.items()}
+    all_ok = all(ok for ok, _ in results.values())
+    _run(args, ham, "".join(reports.values()).splitlines(), {"ok": all_ok, "reports": reports})
     return 0 if all_ok else 1
 
 
@@ -362,41 +291,46 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("clusters", help="boundary-cluster counts per order with the counting bound")
-    _add_model(p)
+    # the model flags come first in a model subcommand's --help
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True, help="model file (JSON)")
+    model.add_argument("--beta", type=float, default=None, help="override model beta")
+    model.add_argument(
+        "--rescale",
+        action="store_true",
+        help="rescale terms (and beta) instead of rejecting over-normalized models",
+    )
+
+    p = sub.add_parser("clusters", parents=[model],
+                       help="boundary-cluster counts per order with the counting bound")
     p.add_argument("--anchor", required=True, help="comma-separated anchor vertices")
     p.add_argument("--max-order", type=int, default=3)
     p.set_defaults(func=cmd_clusters)
 
-    p = sub.add_parser("effham", help="truncated effective Hamiltonian of a region")
-    _add_model(p)
+    p = sub.add_parser("effham", parents=[model], help="truncated effective Hamiltonian of a region")
     p.add_argument("--region", required=True, help="comma-separated vertices")
     p.set_defaults(func=cmd_effham)
 
-    p = sub.add_parser("logz", help="log partition function series")
-    _add_model(p)
+    p = sub.add_parser("logz", parents=[model], help="log partition function series")
     p.set_defaults(func=cmd_logz)
 
-    p = sub.add_parser("reduced", help="truncated reduced Gibbs state")
-    _add_model(p)
+    p = sub.add_parser("reduced", parents=[model], help="truncated reduced Gibbs state")
     p.add_argument("--region", required=True)
     p.set_defaults(func=cmd_reduced)
 
-    p = sub.add_parser("observable", help="local observable expectation")
-    _add_model(p)
+    p = sub.add_parser("observable", parents=[model], help="local observable expectation")
     p.add_argument("--support", required=True)
     p.add_argument("--pauli", required=True, help="Pauli string, e.g. ZZ")
     p.add_argument("--coeff", type=float, default=1.0)
     p.add_argument("--pad", type=int, default=0, help="grow the region by this many hops")
     p.set_defaults(func=cmd_observable)
 
-    p = sub.add_parser("entropy", help="local entropy of a region")
-    _add_model(p)
+    p = sub.add_parser("entropy", parents=[model], help="local entropy of a region")
     p.add_argument("--region", required=True)
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("cmi", help="conditional-mutual-information expansion and bounds")
-    _add_model(p)
+    p = sub.add_parser("cmi", parents=[model],
+                       help="conditional-mutual-information expansion and bounds")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True, help="may be empty for mutual information")
     p.add_argument("--C", required=True)
@@ -443,7 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ham = None
+        if hasattr(args, "model"):
+            ham = load_model(args.model, rescale=args.rescale)
+            if args.beta is not None:
+                ham = ham.with_beta(args.beta)
+        return args.func(args, ham)
     except ModelError as exc:
         raise SystemExit(f"gibbsmarkov {args.command}: {exc}") from None
 

@@ -8,6 +8,7 @@ permutations derive from that single rule.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,15 @@ class OperatorError(ValueError):
 
 class PositivityError(OperatorError):
     """Raised when a matrix required to be positive definite is not."""
+
+
+def _vertex_ids(vertices) -> tuple[int, ...]:
+    """``vertices`` as a tuple of ints; refuses, with OperatorError, an id
+    that is not an integer (``operator.index`` refuses it)."""
+    try:
+        return tuple(map(operator.index, vertices))
+    except TypeError:
+        raise OperatorError(f"vertex ids must be integers, got {vertices!r}") from None
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -55,7 +65,7 @@ class SupportedOperator:
     local_dim: int = 2
 
     def __post_init__(self):
-        support = tuple(int(v) for v in self.support)
+        support = _vertex_ids(self.support)
         object.__setattr__(self, "support", support)
         if list(support) != sorted(set(support)):
             raise OperatorError(f"support must be sorted and duplicate-free: {support}")
@@ -153,7 +163,7 @@ def sum_embedded(weighted, sites, d: int) -> np.ndarray:
 
 def embed(a: SupportedOperator, target_support) -> SupportedOperator:
     """Tensor ``a`` with identities so it acts on ``target_support``."""
-    target = tuple(sorted(set(int(v) for v in target_support)))
+    target = tuple(sorted(set(_vertex_ids(target_support))))
     if not set(a.support) <= set(target):
         raise OperatorError(f"support {a.support} is not a subset of target {target}")
     if a.support == target:
@@ -193,7 +203,7 @@ def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:
 
     The full trace is preserved: tr(result) == tr(a).
     """
-    keep_set = set(int(v) for v in keep)
+    keep_set = set(_vertex_ids(keep))
     positions = [p for p, v in enumerate(a.support) if v in keep_set]
     if len(positions) == len(a.support):
         return a

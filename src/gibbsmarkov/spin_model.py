@@ -8,6 +8,7 @@ matrix ({"support": [...], "matrix": [[re, im], ...]} in row-major order).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -113,7 +114,7 @@ def build_graph(vertex_count: int, edges, local_dim: int = 2) -> SpinGraph:
     canon = set()
     adj = [[] for _ in range(vertex_count)]
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = _vertex_id(e[0]), _vertex_id(e[1])
         if not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v:
             raise ModelError(f"bad edge ({u}, {v})")
         if (min(u, v), max(u, v)) in canon:
@@ -194,7 +195,7 @@ def _canonical_terms(terms):
 
 
 def _make_term(graph: SpinGraph, support, matrix) -> InteractionTerm:
-    support = tuple(sorted(int(v) for v in support))
+    support = tuple(sorted(map(_vertex_id, support)))
     # a constant term would be counted in both H_L and log Z_{L^c}
     if not support:
         raise ValidationError("term support is empty")
@@ -321,21 +322,35 @@ def _parse_interaction_class(spec) -> FiniteRange | PowerLaw:
     raise ModelError(f"bad interaction_class entry: {spec!r}")
 
 
+def pauli_string(support, letters: str, local_dim: int
+                 ) -> tuple[tuple[int, ...], str, np.ndarray]:
+    """The Pauli string ``letters`` with letter i on vertex ``support[i]``,
+    as (support, letters, matrix) sorted by vertex id: the matrix acts on
+    the sorted support, the qubit of the lowest vertex first.
+
+    Refuses, with ModelError, qudits other than qubits and a string that is
+    empty, has a letter outside I, X, Y, Z or a length other than the
+    support's, and, with ValidationError, a vertex id that is not an
+    integer or appears twice.
+    """
+    if local_dim != 2:
+        raise ModelError("pauli terms require local_dim = 2")
+    support = tuple(map(_vertex_id, support))
+    if not letters or set(letters) - set(PAULI):
+        raise ModelError(f"bad Pauli string {letters!r}: expected letters from I, X, Y, Z")
+    if len(letters) != len(support):
+        raise ModelError(f"pauli string {letters!r} does not match support {list(support)}")
+    if len(set(support)) != len(support):
+        raise ValidationError(f"support has repeated vertices: {list(support)}")
+    support, letters = zip(*sorted(zip(support, letters)))
+    mat = functools.reduce(np.kron, [PAULI[c] for c in letters], np.ones((1, 1), dtype=complex))
+    return support, "".join(letters), mat
+
+
 def _term_matrix(entry, support, local_dim: int) -> np.ndarray:
     try:
         if "pauli" in entry:
-            if local_dim != 2:
-                raise ModelError("pauli terms require local_dim = 2")
-            s = entry["pauli"]
-            if len(s) != len(support):
-                raise ModelError(f"pauli string {s!r} does not match support {support}")
-            # letter i acts on support[i]; reorder to ascending vertex id
-            pairs = sorted(zip(support, s))
-            mat = np.array([[1.0 + 0j]])
-            for _, c in pairs:
-                if c not in PAULI:
-                    raise ModelError(f"unknown pauli letter {c!r}")
-                mat = np.kron(mat, PAULI[c])
+            _, _, mat = pauli_string(support, entry["pauli"], local_dim)
             return float(entry.get("coeff", 1.0)) * mat
         if "matrix" in entry:
             dim = local_dim ** len(support)
@@ -364,8 +379,10 @@ def load_model(path, rescale: bool = False) -> Hamiltonian:
             raise ModelError(f"model file missing key {key!r}")
     try:
         vertices, local_dim = int(data["vertices"]), int(data["local_dim"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
-        supports = [[int(v) for v in entry["support"]] for entry in data["terms"]]
+        # a vertex pair per edge and a list per support; build_graph and
+        # _make_term check the vertex ids
+        edges = [(u, v) for u, v in data["edges"]]
+        supports = [list(entry["support"]) for entry in data["terms"]]
         beta = float(data["beta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed field in {path}: {exc!r}") from exc

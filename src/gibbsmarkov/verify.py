@@ -14,13 +14,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import ed
-from .bounds import (
-    critical_beta,
-    finite_range_cmi_bound,
-    power_law_cmi_bound,
-    surface_region,
-    tail_sum_check,
-)
+from .bounds import cmi_decay_bound, critical_beta, tail_sum_check
 from .clusters import (
     _bits,
     _site_sets,
@@ -201,16 +195,18 @@ def suite_counting(seed: int) -> tuple[bool, str]:
                 lines.append(f"{name} m={m} {label}: emitted={len(got)} scan={len(want)}")
                 if got != want:
                     failures.append(f"enumeration {label} {name} m={m}")
-            # the site-set grower's c(V) of each connected union inside comp
+            # the site-set grower's c(V) of each connected union, inside
+            # comp and over the whole vertex set
             for w in scan:
-                if is_connected(model, w) and set(w.support) <= set(comp):
+                if is_connected(model, w):
                     covers.setdefault(w.support, m)
-            got = {_bits(v): level for v, (level, _, _) in _site_sets(model, comp, m).items()}
-            lines.append(
-                f"{name} m={m} connected within complement: site sets={len(got)} scan={len(covers)}"
-            )
-            if got != covers:
-                failures.append(f"enumeration connected within complement {name} m={m}")
+            for label, within in (("connected within complement", comp),
+                                  ("connected within graph", range(model.graph.vertex_count))):
+                want = {v: level for v, level in covers.items() if set(v) <= set(within)}
+                got = {_bits(v): level for v, (level, _, _) in _site_sets(model, within, m).items()}
+                lines.append(f"{name} m={m} {label}: site sets={len(got)} scan={len(want)}")
+                if got != want:
+                    failures.append(f"enumeration {label} {name} m={m}")
     return _report(lines, failures)
 
 
@@ -226,12 +222,8 @@ def suite_bounds(seed: int) -> tuple[bool, str]:
         st = ed.exact_gibbs(ham)
         for a, b, c in (((0,), (1,), (2, 3, 4, 5)), ((0, 1), (2, 3), (4, 5))):
             value = ed.exact_cmi(st, a, b, c)
-            d_ac = ham.graph.distance(a, c)
-            surf = min(
-                len(surface_region(ham.graph, a, 1)),
-                len(surface_region(ham.graph, c, 1)),
-            )
-            rep = finite_range_cmi_bound(surf, ham.beta, bc, d_ac, 1)
+            rep = cmi_decay_bound(ham, a, c)
+            d_ac = rep.inputs["d_ac"]
             lines.append(
                 f"case={case} dAC={d_ac} cmi={_fmt(value)} bound={_fmt(rep.value)}"
             )
@@ -266,9 +258,8 @@ def suite_longrange(seed: int) -> tuple[bool, str]:
         st = ed.exact_gibbs(ham)
         a, c = (0,), (7,)
         b = tuple(range(1, 7))
-        d_ac = ham.graph.distance(a, c)
         value = ed.exact_cmi(st, a, b, c)
-        rep = power_law_cmi_bound(1, beta, 2, alpha, d_ac)
+        rep = cmi_decay_bound(ham, a, c)
         lines.append(
             f"alpha={alpha} cmi={_fmt(value)} bound={_fmt(rep.value)} valid={rep.valid}"
         )

@@ -8,6 +8,7 @@ import pytest
 from gibbsmarkov import ed
 from gibbsmarkov.bounds import (
     area_law_saturation_series,
+    cmi_decay_bound,
     critical_beta,
     finite_range_cmi_bound,
     power_law_cmi_bound,
@@ -147,6 +148,30 @@ class TestPowerLawBound:
     def test_rejects_negative_or_nonfinite_beta(self, beta):
         with pytest.raises(ValidationError):
             power_law_cmi_bound(1, beta, 2, 2.0, 4.0)
+
+
+class TestCmiDecayBound:
+    def test_finite_range_model_takes_the_surface_bound(self):
+        # the r-surfaces of A = {0, 1} and C = {4, 5, 6} on a 7-site chain
+        # with range 2 are {0, 1} and {4, 5}
+        g = build_graph(7, [(i, i + 1) for i in range(6)])
+        zz = np.kron(PAULI["Z"], PAULI["Z"])
+        ham = build_hamiltonian(
+            g, [((i, i + 2), 0.2 * zz) for i in range(5)], FiniteRange(2), beta=1e-3,
+        )
+        got = cmi_decay_bound(ham, (1, 0), (6, 5, 4))
+        want = finite_range_cmi_bound(2, 1e-3, critical_beta(2), 3.0, 2)
+        assert got == want
+
+    def test_power_law_model_takes_the_power_law_bound(self):
+        ham = power_law_chain(6, 1.5, 1e-5, seed=0)
+        got = cmi_decay_bound(ham, (0, 1), (5,))
+        assert got == power_law_cmi_bound(1, 1e-5, 2, 1.5, 4.0)
+
+    def test_refuses_overlapping_regions(self):
+        ham = random_chain(4, 1e-3, seed=0)
+        with pytest.raises(ValidationError, match="regions must be disjoint"):
+            cmi_decay_bound(ham, (0, 1), (1, 2))
 
 
 class TestRecoveryBound:

@@ -231,6 +231,8 @@ class TestSubcommands:
         ["bound", "--kind", "both", "--min-surface", "-2"],
         ["bound", "--kind", "both", "--min-ac", "-1"],
         ["bound", "--kind", "both", "--alpha", "0"],
+        ["observable", "--model", "tfi", "--support", "2,2", "--pauli", "ZZ"],
+        ["observable", "--model", "tfi", "--support", "2,x", "--pauli", "ZZ"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"
@@ -256,6 +258,55 @@ class TestSubcommands:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"gibbsmarkov {argv[0]}: ")
         assert proc.stderr.count("\n") == 1
+
+
+class TestRegionsAsComputed:
+    """Every vertex list is echoed as the library computed on it: sorted,
+    each vertex once."""
+
+    def test_reduced_echoes_the_normalized_region(self, capsys, tfi_file, tmp_path):
+        out_json = tmp_path / "reduced.json"
+        rc, out = run(capsys, [
+            "reduced", "--model", tfi_file, "--region", "1,0,0", "--order", "2",
+            "--out", str(out_json),
+        ])
+        assert rc == 0
+        assert "reduced state on [0, 1] at order 2" in out
+        data = json.loads(out_json.read_text())
+        assert data["region"] == [0, 1]
+        assert len(data["eigenvalues"]) == 4
+
+    def test_cmi_echoes_the_normalized_regions(self, capsys, model_file):
+        rc, out = run(capsys, [
+            "cmi", "--model", model_file, "--A", "5,4", "--B", "3,3", "--C", "1,0",
+            "--order", "2",
+        ])
+        assert rc == 0
+        assert "A=[4, 5] B=[3] C=[0, 1]  order=2" in out
+
+    def test_pauli_letter_i_acts_on_support_i(self, capsys, tfi_file, tmp_path):
+        # X on 2 and Z on 3, whichever order the flags list them in
+        values = []
+        for support, pauli in (("3,2", "ZX"), ("2,3", "XZ")):
+            out_json = tmp_path / f"{pauli}.json"
+            rc, out = run(capsys, [
+                "observable", "--model", tfi_file, "--support", support, "--pauli", pauli,
+                "--order", "2", "--out", str(out_json),
+            ])
+            assert rc == 0
+            assert "<1.0*XZ on [2, 3]> = " in out
+            values.append(json.loads(out_json.read_text())["value"])
+        assert values[0] == values[1]
+
+    def test_verify_exits_1_when_a_suite_fails(self, capsys, monkeypatch, tmp_path):
+        from gibbsmarkov import cli
+
+        monkeypatch.setattr(cli, "run_suite", lambda name, seed: (False, f"suite: {name}\n"))
+        out_json = tmp_path / "verify.json"
+        rc, out = run(capsys, ["verify", "--suite", "bounds", "--out", str(out_json)])
+        assert rc == 1
+        assert out.endswith("suite: bounds\n")
+        assert json.loads(out_json.read_text())["ok"] is False
 
 
 class TestModes:

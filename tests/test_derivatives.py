@@ -168,7 +168,7 @@ class TestMethodAgreement:
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), (1,)
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3)), ()
         yield ham, make_cluster(ham, (i1, i1, i2, i2, i3, i3)), (1,)
-        # nothing kept (the set-partition log step) at every m from 1 to 6
+        # nothing kept (the chain at kept dimension 1) at every m from 1 to 6
         yield ham, make_cluster(ham, (i2,)), ()
         yield ham, make_cluster(ham, (i1, i2, i3)), ()
         yield ham, make_cluster(ham, (i1, i1, i2, i3)), ()

@@ -14,7 +14,7 @@ from gibbsmarkov.clusters import (
     enumerate_connected_to_region,
     enumerate_linking,
 )
-from gibbsmarkov.derivatives import MomentTable, cluster_derivative
+from gibbsmarkov.derivatives import cluster_derivative
 from gibbsmarkov.expansion import (
     _scalar_series,
     _scalar_terms,
@@ -93,20 +93,32 @@ class TestLogPartitionFunction:
         assert not valid and math.isinf(cert)
 
 
-def cluster_route_terms(ham, region, order):
-    """The order-m terms of log tr e^{-beta H_region} / d^|region| on the
-    per-cluster route: n_w/m! D_w, nothing kept, summed over the connected
-    clusters inside the region."""
-    inside, table = set(region), MomentTable(ham)
-    out = []
-    for m in range(1, order + 1):
-        total = 0.0
-        for c in enumerate_connected(ham, m):
-            if inside.issuperset(c.support):
-                dw = cluster_derivative(ham, c, (), moments=table)
-                total += c.multiplicity / math.factorial(m) * float(dw[0, 0].real)
-        out.append(total)
-    return out
+def dense_log_trace_terms(ham, region, order):
+    """The t^1..t^order coefficients of log tr e^{-beta t H_R} / d^|R|, H_R
+    the terms inside the region: from dense powers of the centered H_R and
+    the series of log(1 + A), sharing no code with the site-set route."""
+    d, inside = ham.local_dim, set(region)
+    dim = d ** len(region)
+    h = np.zeros((dim, dim), dtype=complex)
+    for t in ham.terms:
+        if inside.issuperset(t.support):
+            h += embed(t.as_operator(d), region).matrix
+    mean = np.trace(h).real / dim
+    h -= mean * np.eye(dim)
+    # tr e^{-beta t H_R} / dim = e^{-beta t mean} (1 + A(t)), with
+    # A(t) = sum_q a_q t^q, a_q = (-beta)^q / q! tr(h^q) / dim
+    a, power = np.zeros(order + 1), np.eye(dim)
+    for q in range(1, order + 1):
+        power = power @ h
+        a[q] = (-ham.beta) ** q / math.factorial(q) * np.trace(power).real / dim
+    # log(1 + A) = sum_k (-1)^(k+1) A^k / k; A has no constant term, so
+    # A^k starts at t^k and k <= order suffices
+    terms, a_k = np.zeros(order + 1), np.eye(1, order + 1)[0]
+    for k in range(1, order + 1):
+        a_k = np.convolve(a_k, a)[: order + 1]
+        terms += (-1) ** (k + 1) / k * a_k
+    terms[1] -= ham.beta * mean
+    return list(terms[1:])
 
 
 class TestScalarSiteSets:
@@ -120,10 +132,12 @@ class TestScalarSiteSets:
     ], ids=["chain8", "chain8-Lc", "grid3x3", "grid3x3-Lc", "grid2x4", "powerlaw_chain6"])
     def test_per_order_terms_match_the_cluster_route(self, build, order, hole):
         # log Z (nothing left out) and the scalar channel of L = hole, on
-        # the scale of the order: the term itself or (beta max||h||)^m
+        # the scale of the order: the term itself or (beta max||h||)^m.
+        # The order-m sum over the connected clusters inside the region is
+        # the t^m coefficient of its dense log-trace series
         ham = build()
         region = tuple(v for v in range(ham.graph.vertex_count) if v not in hole)
-        want = cluster_route_terms(ham, region, order)
+        want = dense_log_trace_terms(ham, region, order)
         got = _scalar_terms(ham, region, order)
         size = ham.beta * max(t.norm for t in ham.terms)
         gaps = [abs(g - w) / max(abs(w), size ** m) for m, (g, w) in enumerate(zip(got, want), 1)]

@@ -148,6 +148,23 @@ class TestTraceOut:
         assert np.allclose(out, oracle.reshape(d * d, d * d), rtol=0, atol=1e-12)
 
 
+class TestVertexIds:
+    @pytest.mark.parametrize("call", [
+        lambda: SupportedOperator((1.7,), PAULI["Z"]),
+        lambda: embed(op((0,), PAULI["Z"]), (0, 1.5)),
+        lambda: partial_trace(op((0, 1), np.eye(4)), (0.5,)),
+    ], ids=["SupportedOperator", "embed", "partial_trace"])
+    def test_a_float_is_refused(self, call):
+        with pytest.raises(OperatorError, match="vertex ids must be integers"):
+            call()
+
+    def test_numpy_integers_are_vertex_ids(self):
+        a = SupportedOperator((np.int64(1),), PAULI["Z"])
+        assert a.support == (1,) and type(a.support[0]) is int
+        assert embed(a, (np.int64(0), np.int64(1))).support == (0, 1)
+        assert partial_trace(op((0, 1), np.eye(4)), (np.int64(1),)).support == (1,)
+
+
 class TestMatrixFunctions:
     def test_expm_zero_is_identity(self):
         out = expm_hermitian(op((0,), np.zeros((2, 2))))

@@ -18,6 +18,7 @@ from gibbsmarkov.spin_model import (
     g_tilde,
     load_model,
     locality_profile,
+    pauli_string,
     save_model,
 )
 
@@ -130,6 +131,65 @@ class TestRegions:
         message = re.escape(f"vertex id {vertex!r} is not an integer")
         with pytest.raises(ValidationError, match=message):
             chain(4).check_regions((vertex, True))
+
+
+class TestVertexIds:
+    """A vertex id is an integer wherever a model names one: a float is
+    refused, never truncated to the vertex below it."""
+
+    def test_term_support_refuses_a_float(self):
+        with pytest.raises(ValidationError, match="vertex id 1.7 is not an integer"):
+            build_hamiltonian(chain(2), [((0, 1.7), 0.1 * ZZ)], FiniteRange(1), beta=0.01)
+
+    def test_edge_refuses_a_float(self):
+        with pytest.raises(ValidationError, match="vertex id 1.5 is not an integer"):
+            build_graph(3, [(0, 1), (1.5, 2)])
+
+    def test_model_file_support_refuses_a_float(self, tmp_path):
+        doc = json.loads((MODELS / "tfi_chain6.json").read_text())
+        doc["terms"][0]["support"] = [0.9]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="vertex id 0.9 is not an integer"):
+            load_model(bad)
+
+    def test_numpy_integers_are_vertex_ids(self):
+        i0, i1 = np.int64(0), np.int64(1)
+        g = build_graph(2, [(i0, i1)])
+        ham = build_hamiltonian(g, [((i1, i0), 0.1 * ZZ)], FiniteRange(1), beta=0.01)
+        assert g.edges == ((0, 1),)
+        assert ham.terms[0].support == (0, 1)
+
+
+class TestPauliString:
+    def test_letter_i_acts_on_support_i(self):
+        support, letters, mat = pauli_string((3, 2), "ZX", 2)
+        assert (support, letters) == ((2, 3), "XZ")
+        assert np.array_equal(mat, np.kron(PAULI["X"], PAULI["Z"]))
+
+    def test_model_file_and_helper_agree(self, tmp_path):
+        doc = {
+            "local_dim": 2, "vertices": 3, "edges": [[0, 1], [1, 2]],
+            "interaction_class": {"finite_range": 1}, "beta": 0.01,
+            "terms": [{"support": [1, 0], "pauli": "XZ", "coeff": 0.4}],
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        (term,) = load_model(path).terms
+        assert term.support == (0, 1)
+        assert np.array_equal(term.matrix, 0.4 * np.kron(PAULI["Z"], PAULI["X"]))
+
+    @pytest.mark.parametrize("support, letters, local_dim, error, message", [
+        ((2, 2), "ZZ", 2, ValidationError, "repeated vertices"),
+        ((2, 3), "Z", 2, ModelError, "does not match support"),
+        ((2,), "Q", 2, ModelError, "bad Pauli string 'Q'"),
+        ((), "", 2, ModelError, "bad Pauli string ''"),
+        ((2,), "Z", 3, ModelError, "local_dim = 2"),
+        ((1.5,), "Z", 2, ValidationError, "not an integer"),
+    ])
+    def test_refusals(self, support, letters, local_dim, error, message):
+        with pytest.raises(error, match=message):
+            pauli_string(support, letters, local_dim)
 
 
 class TestPowerLawTails:
