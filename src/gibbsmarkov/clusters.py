@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .spin_model import Hamiltonian
+from .spin_model import Hamiltonian, ValidationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class Cluster:
 
 
 def make_cluster(ham: Hamiltonian, term_indices) -> Cluster:
-    idx = tuple(sorted(int(i) for i in term_indices))
+    idx = tuple(sorted(check_integer(i, "term index") for i in term_indices))
     support = set()
     for i in idx:
         support.update(ham.terms[i].support)
@@ -121,6 +121,14 @@ def links_regions(ham: Hamiltonian, cluster: Cluster, a_region, b_region) -> boo
     return bool(sup & a_set) and bool(sup & b_set)
 
 
+def _check_size(m) -> int:
+    """A cluster size as an int, refused with ValidationError below 1."""
+    m = check_integer(m, "cluster size")
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    return m
+
+
 def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=()) -> list[Cluster]:
     """Size-m clusters that hold a term meeting ``seeds`` (default: any
     term) and are connected to ``anchor`` (connected outright when it is
@@ -137,8 +145,7 @@ def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=()) -> list[Cluster]:
     the terms a level reaches are found once per distinct V_w u anchor and
     each emitted cluster's support is read off its mask.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _check_size(m)
     terms = ham.terms
     masks, touching = _term_index(ham, range(ham.graph.vertex_count))
     anchor_mask = sum(1 << v for v in set(anchor))
@@ -226,8 +233,7 @@ def enumerate_connected(ham: Hamiltonian, m: int):
 def enumerate_linking(ham: Hamiltonian, a_region, c_region, m: int):
     """Stream the connected size-m clusters with a support path from A to C:
     those grown from the terms meeting A that also meet C."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _check_size(m)
     a_region, c_region = ham.graph.check_regions(a_region, c_region)
     max_diam = max([t.diameter for t in ham.terms] + [1.0])
     if m * max_diam < ham.graph.distance(a_region, c_region):

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, sum_embedded
-from .spin_model import FiniteRange, Hamiltonian, ModelError, ValidationError
+from .spin_model import FiniteRange, Hamiltonian, ModelError, ValidationError, check_integer
 from .clusters import _bits, _site_sets, enumerate_connected_to_region, enumerate_linking
 from .derivatives import MomentTable, cluster_derivative, cmi_cluster_term
 from .bounds import critical_beta, surface_region
@@ -115,9 +115,12 @@ def truncation_certificate(ham: Hamiltonian, region, order: int) -> tuple[float,
     return math.inf, False
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int) -> int:
+    """An expansion order as an int, refused with ValidationError below 0."""
+    order = check_integer(order, "order")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
+    return order
 
 
 def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
@@ -212,7 +215,7 @@ def effective_hamiltonian(
     Normalized results (reduced states, observables, entropies) cancel it
     and never compute it.
     """
-    _check_order(order)
+    order = _check_order(order)
     if not isinstance(ham.interaction_class, FiniteRange):
         raise ModelError("effective-Hamiltonian assembly requires a finite-range model")
     (region,) = ham.graph.check_regions(region)
@@ -274,7 +277,7 @@ def log_partition_function(ham: Hamiltonian, order: int) -> tuple[float, float, 
 
     Returns (value, certificate, certificate_valid).
     """
-    _check_order(order)
+    order = _check_order(order)
     n = ham.graph.vertex_count
     value = _scalar_series(ham, range(n), order)
     cert, valid = log_z_certificate(ham, order)
@@ -389,7 +392,7 @@ def cmi_expansion(
     tr(rho H) equals the CMI when the full state rho is supplied; the
     operator norm always upper-bounds the full-series CMI contribution."""
     a, b, c = ham.graph.check_regions(a_region, b_region, c_region)
-    _check_order(order)
+    order = _check_order(order)
     target = tuple(sorted(a + b + c))
     d = ham.local_dim
     acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)

@@ -47,12 +47,9 @@ def _rescaled(graph, raw_terms, beta):
 
 
 def random_chain(n: int, beta: float, seed: int) -> Hamiltonian:
-    """Random 2-local nearest-neighbor chain with on-site fields."""
-    rng = np.random.default_rng(seed)
-    graph = build_graph(n, [(i, i + 1) for i in range(n - 1)], local_dim=2)
-    raw = [((i, i + 1), random_hermitian(rng, 4)) for i in range(n - 1)]
-    raw += [((i,), FIELD_SCALE * random_hermitian(rng, 2)) for i in range(n)]
-    return _rescaled(graph, raw, beta)
+    """Random 2-local nearest-neighbor chain with on-site fields: the
+    one-row grid of :func:`random_grid`."""
+    return random_grid(1, n, beta, seed)
 
 
 def random_grid(rows: int, cols: int, beta: float, seed: int) -> Hamiltonian:

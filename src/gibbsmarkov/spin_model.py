@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -99,14 +100,23 @@ class SpinGraph:
         return float(max(self.dist[u, v] for u in support for v in support))
 
 
-def _vertex_id(v) -> int:
+def check_integer(value, what: str) -> int:
+    """``value`` as an int, by ``operator.index``: a numpy integer passes,
+    and a float or a string is refused with ValidationError rather than
+    truncated or parsed."""
     try:
-        return operator.index(v)
+        return operator.index(value)
     except TypeError:
-        raise ValidationError(f"vertex id {v!r} is not an integer") from None
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
+
+
+def _vertex_id(v) -> int:
+    return check_integer(v, "vertex id")
 
 
 def build_graph(vertex_count: int, edges, local_dim: int = 2) -> SpinGraph:
+    vertex_count = check_integer(vertex_count, "vertex_count")
+    local_dim = check_integer(local_dim, "local_dim")
     if vertex_count < 1:
         raise ModelError("vertex_count must be positive")
     if local_dim < 2:
@@ -226,7 +236,7 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
     k = max((len(t.support) for t in built), default=1)
 
     if isinstance(interaction_class, FiniteRange):
-        if interaction_class.r < 1:
+        if check_integer(interaction_class.r, "finite range r") < 1:
             raise ValidationError("finite range r must be >= 1")
         for t in built:
             if t.diameter > interaction_class.r:
@@ -257,8 +267,9 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
 
 
 def check_alpha(alpha: float) -> None:
-    """Refuse a power-law exponent that is not positive (a nan included)."""
-    if not alpha > 0:
+    """Refuse a power-law exponent that is not a positive real number (a
+    nan included)."""
+    if not (isinstance(alpha, numbers.Real) and alpha > 0):
         raise ValidationError(f"power-law exponent alpha must be positive, got {alpha}")
 
 
@@ -312,9 +323,10 @@ def g_tilde(ham: Hamiltonian, l: int) -> float:
 
 def _parse_interaction_class(spec) -> FiniteRange | PowerLaw:
     if isinstance(spec, dict) and len(spec) == 1:
+        if "finite_range" in spec:
+            r = check_integer(spec["finite_range"], "interaction_class finite_range")
+            return FiniteRange(r)
         try:
-            if "finite_range" in spec:
-                return FiniteRange(int(spec["finite_range"]))
             if "power_law" in spec:
                 return PowerLaw(float(spec["power_law"]))
         except (TypeError, ValueError):
@@ -378,15 +390,14 @@ def load_model(path, rescale: bool = False) -> Hamiltonian:
         if key not in data:
             raise ModelError(f"model file missing key {key!r}")
     try:
-        vertices, local_dim = int(data["vertices"]), int(data["local_dim"])
         # a vertex pair per edge and a list per support; build_graph and
-        # _make_term check the vertex ids
+        # _make_term check every integer in them, and the counts
         edges = [(u, v) for u, v in data["edges"]]
         supports = [list(entry["support"]) for entry in data["terms"]]
         beta = float(data["beta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed field in {path}: {exc!r}") from exc
-    graph = build_graph(vertices, edges, local_dim)
+    graph = build_graph(data["vertices"], edges, data["local_dim"])
     klass = _parse_interaction_class(data["interaction_class"])
     terms = [
         (support, _term_matrix(entry, support, graph.local_dim))

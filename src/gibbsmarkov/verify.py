@@ -31,6 +31,7 @@ from .derivatives import cluster_derivative
 from .expansion import effective_hamiltonian, log_partition_function
 from .operators import embed
 from .random_models import power_law_chain, random_chain, random_grid
+from .spin_model import ValidationError
 
 SUITES = ("derivatives", "certificates", "counting", "bounds", "longrange")
 
@@ -286,4 +287,6 @@ def run_suite(name: str, seed: int) -> tuple[bool, str]:
     }
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return table[name](seed)

@@ -233,6 +233,7 @@ class TestSubcommands:
         ["bound", "--kind", "both", "--alpha", "0"],
         ["observable", "--model", "tfi", "--support", "2,2", "--pauli", "ZZ"],
         ["observable", "--model", "tfi", "--support", "2,x", "--pauli", "ZZ"],
+        ["verify", "--suite", "counting", "--seed", "-1"],
     ])
     def test_model_errors_are_one_line(self, argv, tmp_path):
         malformed = tmp_path / "malformed.json"

@@ -21,7 +21,14 @@ from gibbsmarkov.clusters import (
 )
 from gibbsmarkov import verify
 from gibbsmarkov.random_models import power_law_chain, random_chain, random_grid
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian, load_model
+from gibbsmarkov.spin_model import (
+    FiniteRange,
+    PAULI,
+    ValidationError,
+    build_graph,
+    build_hamiltonian,
+    load_model,
+)
 from gibbsmarkov.verify import run_suite
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -107,6 +114,32 @@ class TestConnectivity:
         c = make_cluster(ham, (0, 1))
         assert links_regions(ham, c, (0,), (2,))
         assert not links_regions(ham, make_cluster(ham, (0, 0)), (0,), (2,))
+
+
+class TestIntegerInputs:
+    def test_make_cluster_refuses_a_float_term_index(self):
+        with pytest.raises(ValidationError, match="term index 1.7 is not an integer"):
+            make_cluster(chain_ham(4), (1.7, 2.2))
+
+    def test_make_cluster_takes_numpy_integers(self):
+        assert make_cluster(chain_ham(4), (np.int64(2), np.int64(1))).term_indices == (1, 2)
+
+    @pytest.mark.parametrize("m, message", [
+        (0, "m must be >= 1, got 0"), (2.5, "cluster size 2.5 is not an integer"),
+    ], ids=["zero", "float"])
+    def test_enumerators_refuse_a_size_that_is_not_a_positive_integer(self, m, message):
+        ham = chain_ham(4)
+        for stream in (
+            enumerate_connected(ham, m),
+            enumerate_connected_to_region(ham, (1,), m),
+            enumerate_linking(ham, (0,), (3,), m),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                list(stream)
+
+    def test_enumerators_take_a_numpy_size(self):
+        ham = chain_ham(4)
+        assert list(enumerate_connected(ham, np.int64(2))) == list(enumerate_connected(ham, 2))
 
 
 class TestEnumeration:

@@ -270,10 +270,9 @@ class TestTableMemory:
         formed = []
         real = MomentTable._product
 
-        def spy(self, alpha, hold=False):
-            hit = real(self, alpha, hold)
-            if hold:
-                formed.append((alpha, id(hit[1])))
+        def spy(self, alpha):
+            hit = real(self, alpha)
+            formed.append((alpha, hit[1]))  # held here, so no array is freed
             return hit
 
         monkeypatch.setattr(MomentTable, "_product", spy)
@@ -282,8 +281,8 @@ class TestTableMemory:
             formed.clear()
             cmi_cluster_term(ham, c, (0,), (1, 2), (3,), moments=table)
             # every kept region read the one product formed for the cluster
-            tops = [arrays for alpha, arrays in formed if alpha == c.term_indices]
-            assert len(tops) >= 2 and len(set(tops)) == 1
+            tops = [array for alpha, array in formed if alpha == c.term_indices]
+            assert len(tops) >= 2 and all(array is tops[0] for array in tops)
             assert max(len(alpha) for alpha in table._products) < 4
 
 

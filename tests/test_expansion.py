@@ -480,6 +480,20 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="order must be >= 0, got -1"):
             call(chain6[0])
 
+    @pytest.mark.parametrize("order", [2.5, "2"], ids=["float", "string"])
+    @pytest.mark.parametrize("call", [
+        lambda ham, order: effective_hamiltonian(ham, (0,), order),
+        lambda ham, order: log_partition_function(ham, order),
+        lambda ham, order: cmi_expansion(ham, (0,), (1,), (2,), order),
+    ], ids=["effective_hamiltonian", "log_partition_function", "cmi_expansion"])
+    def test_order_that_is_not_an_integer(self, chain6, call, order):
+        with pytest.raises(ValidationError, match=f"order {order!r} is not an integer"):
+            call(chain6[0], order)
+
+    def test_numpy_order(self, chain6):
+        ham = chain6[0]
+        assert log_partition_function(ham, np.int64(2)) == log_partition_function(ham, 2)
+
     @pytest.mark.parametrize("a, b, c", [
         ((0, 1), (1, 2), (3,)),   # A and B
         ((0,), (2, 3), (3, 4)),   # B and C

@@ -1,0 +1,200 @@
+"""Per-order sums of the series against a whole-system Taylor oracle in long
+double, at orders above the ones the benchmark runs.
+
+The oracle forms H from the term matrices with ``np.kron``, in
+``clongdouble``, and shares no code with ``operators``, ``derivatives`` or
+``expansion``.  For a kept set X it takes
+
+    Y_q = (-beta)^q / q! * tr_{X^c}(H^q) / d^|X^c|,
+
+so that tr_{X^c} e^{-beta t H} / d^|X^c| = I + sum_q t^q Y_q, and reads the
+order-m sum over all clusters off the t^m coefficient of log(I + sum_q t^q Y_q):
+
+- with X = L, times -1/beta, the order-m part of H_eff(L).  Scalar clusters
+  add multiples of I and interior clusters appear only at m = 1, so for
+  m >= 2 its traceless part is that of the order-m boundary sum;
+- with X empty, the order-m term of log Z / d^n;
+- the four-log combination over AB, BC, ABC and B on A u B u C, the
+  order-m CMI sum, in which the clusters that do not link A and C cancel.
+
+Each check passes when every gap is within 1e-12 of the larger of the value
+and the order's natural scale: (beta max ||h||)^m / beta for H_eff, whose
+series carries a 1/beta, and (beta max ||h||)^m for log Z and the CMI.  A
+failure reports the gap per order, so the round-off of the float64 series
+can be read off any run.
+"""
+
+import functools
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from gibbsmarkov.bounds import critical_beta
+from gibbsmarkov.clusters import enumerate_linking
+from gibbsmarkov.derivatives import MomentTable, cmi_cluster_term
+from gibbsmarkov.expansion import _scalar_terms, effective_hamiltonian
+from gibbsmarkov.operators import embed
+from gibbsmarkov.random_models import random_chain, random_grid
+
+BETA = 0.5 * critical_beta(2)
+REGION = (3, 4)
+A, B, C = (0,), (1, 2), (3, 4)
+TOL = 1e-12
+
+
+def on_sites(mat, sites, n: int, d: int) -> np.ndarray:
+    """``mat``, on the sorted ``sites`` among 0..n-1, tensored with the
+    identity on the other sites, in ``clongdouble``."""
+    rest = [v for v in range(n) if v not in sites]
+    full = np.kron(
+        np.asarray(mat, dtype=np.clongdouble), np.eye(d ** len(rest), dtype=np.clongdouble)
+    )
+    order = list(sites) + rest  # the qudits of ``full``, first to last
+    perm = [order.index(v) for v in range(n)]
+    full = full.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return full.reshape(d ** n, d ** n)
+
+
+def split(mat, kept, n: int, d: int) -> np.ndarray:
+    """``mat`` on the sites 0..n-1 with the ``kept`` qudits moved first, as
+    (kept rows, other rows, kept columns, other columns)."""
+    axes = list(kept) + [v for v in range(n) if v not in kept]
+    out = mat.reshape((d,) * (2 * n)).transpose(axes + [n + v for v in axes])
+    return out.reshape(d ** len(kept), d ** (n - len(kept)), d ** len(kept), -1)
+
+
+def times_term(mat, term, n: int, d: int) -> np.ndarray:
+    """mat (h (x) I) for the term h, contracting only the columns on the
+    term's sites: d^(2n + k) operations, not the d^(3n) of a dense product."""
+    k = len(term.support)
+    cols = [n + v for v in term.support]
+    h = np.asarray(term.matrix, dtype=np.clongdouble).reshape((d,) * (2 * k))
+    out = np.tensordot(mat.reshape((d,) * (2 * n)), h, axes=(cols, list(range(k))))
+    return np.moveaxis(out, list(range(2 * n - k, 2 * n)), cols).reshape(d ** n, d ** n)
+
+
+class Oracle:
+    """H^1 ... H^order of one model, and the log-series of any kept set
+    read off them."""
+
+    def __init__(self, ham, order: int):
+        n, d = ham.graph.vertex_count, ham.local_dim
+        self.n, self.d, self.order = n, d, order
+        self.beta = np.longdouble(ham.beta)
+        self.powers = [sum(on_sites(t.matrix, t.support, n, d) for t in ham.terms)]
+        for _ in range(order - 1):
+            self.powers.append(sum(times_term(self.powers[-1], t, n, d) for t in ham.terms))
+
+    def traced_power(self, q: int, kept) -> np.ndarray:
+        """tr_{X^c}(H^q) / d^|X^c| on the kept set X."""
+        out = np.einsum("icjc->ij", split(self.powers[q - 1], kept, self.n, self.d))
+        return out / self.d ** (self.n - len(kept))
+
+    def log_series(self, kept) -> list:
+        """The t^1 ... t^order coefficients of log(I + sum_q t^q Y_q) on ``kept``."""
+        x = [None] + [
+            (-self.beta) ** q / math.factorial(q) * self.traced_power(q, kept)
+            for q in range(1, self.order + 1)
+        ]
+        zero = np.zeros_like(x[1])
+        # power[q] is the t^q coefficient of X^k, starting from X^1 = X
+        power, out = list(x), list(x)
+        for k in range(2, self.order + 1):
+            power = [zero] * k + [
+                sum((power[i] @ x[q - i] for i in range(k - 1, q)), zero)
+                for q in range(k, self.order + 1)
+            ]
+            for q in range(k, self.order + 1):
+                out[q] = out[q] + (-1) ** (k - 1) * power[q] / k
+        return out[1:]
+
+
+def traceless(mat):
+    return mat - np.trace(mat) / mat.shape[0] * np.eye(mat.shape[0], dtype=mat.dtype)
+
+
+def check(values, refs, scales, first: int):
+    """Assert each order's gap is within TOL of max(|value|, scale)."""
+    rows, ok = [], True
+    for m, (got, ref, scale) in enumerate(zip(values, refs, scales), start=first):
+        gap = float(np.max(np.abs(np.asarray(got, dtype=np.clongdouble) - ref)))
+        size = max(float(np.max(np.abs(got))), scale)
+        ok &= gap <= TOL * size
+        rows.append(f"m={m}: gap/scale={gap / size:.2e}")
+    assert ok, "; ".join(rows)
+
+
+MODELS = {
+    "chain8": lambda: random_chain(8, BETA, 0),
+    "grid2x4": lambda: random_grid(2, 4, BETA, 0),
+}
+# what keeps the module near 8 s on a shared 2-core host: the grid's H_eff
+# stops at order 4 (order 5 takes 1.2 s there, 6 takes 4.6 s and 7 30 s),
+# and the CMI at order 6 (order 7 takes 40 s); the chain's H_eff at order 7
+# takes 4.6 s of the 8
+EFFHAM = {"chain8": 7, "grid2x4": 4}
+LOGZ_ORDER, CMI_ORDER = 7, 6
+
+
+@functools.cache
+def model(name: str):
+    """The model and its oracle to order 7, made once per module run."""
+    ham = MODELS[name]()
+    return ham, Oracle(ham, LOGZ_ORDER)
+
+
+def first_order_scale(ham) -> float:
+    return ham.beta * max(t.norm for t in ham.terms)
+
+
+@pytest.mark.parametrize("name", list(EFFHAM))
+def test_boundary_sums(name):
+    ham, oracle = model(name)
+    order = EFFHAM[name]
+    res = effective_hamiltonian(ham, REGION, order)
+    orders_m = range(2, order + 1)
+    values = [
+        traceless(replace(res, boundary_terms={m: e}).boundary_operator().matrix)
+        for m, e in sorted(res.boundary_terms.items())
+        if m >= 2
+    ]
+    series = oracle.log_series(REGION)
+    refs = [traceless(-series[m - 1] / oracle.beta) for m in orders_m]
+    scales = [first_order_scale(ham) ** m / ham.beta for m in orders_m]
+    check(values, refs, scales, first=2)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_log_z_terms(name):
+    ham, oracle = model(name)
+    order = LOGZ_ORDER
+    values = _scalar_terms(ham, range(ham.graph.vertex_count), order)
+    refs = [y[0, 0] for y in oracle.log_series(())[:order]]
+    scales = [first_order_scale(ham) ** m for m in range(1, order + 1)]
+    check(values, refs, scales, first=1)
+
+
+def test_cmi_sums():
+    ham, oracle = model("chain8")
+    order = CMI_ORDER
+    target = tuple(sorted(A + B + C))
+    table = MomentTable(ham)
+    values = []
+    for m in range(1, order + 1):
+        total = np.zeros((2 ** len(target),) * 2, dtype=complex)
+        for cluster in enumerate_linking(ham, A, C, m):
+            piece = cmi_cluster_term(ham, cluster, A, B, C, moments=table)
+            total -= cluster.multiplicity / math.factorial(m) * embed(piece, target).matrix
+        values.append(total)
+    n = len(target)
+
+    def lifted(region):
+        positions = [target.index(v) for v in region]
+        return [on_sites(y, positions, n, ham.local_dim) for y in oracle.log_series(region)]
+
+    ab, bc, abc, b = (lifted(r) for r in (A + B, B + C, target, B))
+    refs = [-(ab[i] + bc[i] - abc[i] - b[i]) for i in range(order)]
+    scales = [first_order_scale(ham) ** m for m in range(1, order + 1)]
+    check(values, refs, scales, first=1)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsmarkov.random_models import power_law_chain
+from gibbsmarkov import random_models
+from gibbsmarkov.random_models import power_law_chain, random_chain, random_grid
 from gibbsmarkov.spin_model import (
     FiniteRange,
     ModelError,
@@ -159,6 +160,73 @@ class TestVertexIds:
         ham = build_hamiltonian(g, [((i1, i0), 0.1 * ZZ)], FiniteRange(1), beta=0.01)
         assert g.edges == ((0, 1),)
         assert ham.terms[0].support == (0, 1)
+
+
+class TestIntegerInputs:
+    """A count, a dimension or a range is an integer wherever a model names
+    one: a float or a string is refused with ValidationError, never
+    truncated, and a numpy integer is accepted."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("vertices", 6.7, "vertex_count 6.7 is not an integer"),
+        ("local_dim", 2.5, "local_dim 2.5 is not an integer"),
+        ("interaction_class", {"finite_range": 1.5},
+         "interaction_class finite_range 1.5 is not an integer"),
+    ], ids=["vertices", "local_dim", "finite_range"])
+    def test_model_file_refuses_a_float(self, tmp_path, key, value, message):
+        doc = json.loads((MODELS / "tfi_chain6.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
+            load_model(bad)
+
+    def test_graph_refuses_a_float_vertex_count(self):
+        with pytest.raises(ValidationError, match="vertex_count 6.5 is not an integer"):
+            build_graph(6.5, [])
+
+    def test_graph_refuses_a_float_local_dim(self):
+        with pytest.raises(ValidationError, match="local_dim 2.5 is not an integer"):
+            build_graph(3, [(0, 1)], local_dim=2.5)
+
+    @pytest.mark.parametrize("r", [1.5, "1"], ids=["float", "string"])
+    def test_hamiltonian_refuses_a_finite_range_that_is_not_an_integer(self, r):
+        with pytest.raises(ValidationError, match=f"finite range r {r!r} is not an integer"):
+            build_hamiltonian(chain(3), [((0, 1), 0.1 * ZZ)], FiniteRange(r), beta=0.01)
+
+    def test_hamiltonian_refuses_a_string_exponent(self):
+        with pytest.raises(ValidationError, match="alpha must be positive, got 2"):
+            build_hamiltonian(chain(3), [((0, 1), 0.1 * ZZ)], PowerLaw("2"), beta=0.01)
+
+    def test_numpy_integers_are_counts(self):
+        g = build_graph(np.int64(3), [(0, 1), (1, 2)], local_dim=np.int64(2))
+        ham = build_hamiltonian(g, [((0, 1), 0.1 * ZZ)], FiniteRange(np.int64(1)), beta=0.01)
+        assert (g.vertex_count, g.local_dim) == (3, 2)
+        assert ham.range_r == 1
+
+
+class TestRandomChain:
+    @pytest.mark.parametrize("n", [3, 9, 16])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_is_the_one_row_grid_of_the_chain_draws(self, n, seed):
+        # the bonds (i, i+1) drawn in order, then the fields, all scaled by
+        # one factor that puts the worst per-vertex norm sum at the budget
+        rng = np.random.default_rng(seed)
+        draw, field = random_models.random_hermitian, random_models.FIELD_SCALE
+        raw = [((i, i + 1), draw(rng, 4)) for i in range(n - 1)]
+        raw += [((i,), field * draw(rng, 2)) for i in range(n)]
+        sums = np.zeros(n)
+        for support, mat in raw:
+            sums[list(support)] += np.linalg.norm(mat, 2)
+        scale = random_models.VERTEX_BUDGET / sums.max()
+        ham = random_chain(n, 0.01, seed)
+        grid = random_grid(1, n, 0.01, seed)
+        assert ham.graph.edges == grid.graph.edges == tuple((i, i + 1) for i in range(n - 1))
+        expected = dict((support, scale * mat) for support, mat in raw)
+        assert [t.support for t in ham.terms] == [t.support for t in grid.terms]
+        for term, twin in zip(ham.terms, grid.terms):
+            assert np.array_equal(term.matrix, expected[term.support])
+            assert np.array_equal(term.matrix, twin.matrix)
 
 
 class TestPauliString:
