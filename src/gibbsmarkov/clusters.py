@@ -168,34 +168,28 @@ def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=()) -> list[Cluster]:
     return [Cluster(w, support(level[w])) for w in sorted(level)]
 
 
-def _site_sets(ham: Hamiltonian, region, order: int) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+def _site_sets(ham: Hamiltonian, region, order: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     """The connected term unions V inside the vertex set ``region`` with a
     minimal connected cover c(V), the fewest terms of a connected cluster
-    with union V, of at most ``order``: V's bitmask -> (c(V), the mask of
-    the set V grew from or 0, the terms inside V but not inside that set).
+    with union V, of at most ``order``: V's bitmask -> (c(V), the indices of
+    the terms inside V, ascending).
 
     Level 1 is the supports of the terms inside ``region``; level j+1 adds
     V u supp(t) for each new V of level j and each term t meeting it.  By
     the leaf argument of :func:`_grow`, V first appears at level c(V).
     """
     masks, touching = _term_index(ham, region)
-    found: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-    grown = ((0, mask) for mask in masks.values())  # (parent, V) pairs of level 1
+    found: dict[int, tuple[int, tuple[int, ...]]] = {}
+    grown = masks.values()  # the sets of level 1
     for level in range(1, order + 1):
         frontier = []
-        for parent, mask in grown:
+        for mask in grown:
             if mask not in found:
-                # a term inside V but not inside the parent meets V - parent
-                new = {t for v in _bits(mask & ~parent) for t in touching[v]}
-                new = {t for t in new if not masks[t] & ~mask}
-                found[mask] = level, parent, tuple(sorted(new))
-                frontier.append(mask)
+                meeting = sorted({t for v in _bits(mask) for t in touching[v]})
+                found[mask] = level, tuple(t for t in meeting if not masks[t] & ~mask)
+                frontier.append((mask, meeting))
         # lazy, so the level after the last is never formed
-        grown = (
-            (v, v | masks[t])
-            for v in frontier
-            for t in sorted({t for u in _bits(v) for t in touching[u]})
-        )
+        grown = (v | masks[t] for v, meeting in frontier for t in meeting)
     return found
 
 
@@ -215,7 +209,12 @@ def _term_index(ham: Hamiltonian, region) -> tuple[dict[int, int], dict[int, lis
 
 def _bits(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def enumerate_connected_to_region(ham: Hamiltonian, region, m: int):

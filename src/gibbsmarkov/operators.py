@@ -106,8 +106,8 @@ def _diagonal_labels(positions: tuple, n_sites: int):
     if positions == tuple(range(n_sites)):
         return None
     rest = [p for p in range(n_sites) if p not in positions]
-    labels = list(range(n_sites)) + [n_sites + p if p in positions else p for p in range(n_sites)]
-    out = list(positions) + [n_sites + p for p in positions] + rest
+    labels = [..., *range(n_sites), *(n_sites + p if p in positions else p for p in range(n_sites))]
+    out = [..., *positions, *(n_sites + p for p in positions), *rest]
     return labels, out, len(rest)
 
 
@@ -125,6 +125,10 @@ def add_embedded(acc: np.ndarray, mat: np.ndarray, positions, n_sites: int, d: i
     the order given; ``scale * mat`` is added there by broadcasting.  Entry
     by entry this adds the numbers the embedding would, and leaves every
     entry where the embedding is 0 untouched.
+
+    ``acc`` may be a stack of such matrices along leading axes, and ``mat``
+    a stack that broadcasts against it; each slice gets, bitwise, what it
+    would get alone.
     """
     if not acc.flags.c_contiguous:
         raise OperatorError("add_embedded needs a C-contiguous target")
@@ -134,8 +138,8 @@ def add_embedded(acc: np.ndarray, mat: np.ndarray, positions, n_sites: int, d: i
         acc += scale * mat
         return
     labels, out, n_rest = plan
-    view = np.einsum(acc.reshape((d,) * (2 * n_sites)), labels, out)
-    view += scale * mat.reshape((d,) * (2 * len(positions)) + (1,) * n_rest)
+    view = np.einsum(acc.reshape(acc.shape[:-2] + (d,) * (2 * n_sites)), labels, out)
+    view += scale * mat.reshape(mat.shape[:-2] + (d,) * (2 * len(positions)) + (1,) * n_rest)
 
 
 def embed_matrix(mat: np.ndarray, positions, n_sites: int, d: int) -> np.ndarray:

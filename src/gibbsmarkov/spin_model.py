@@ -102,12 +102,22 @@ class SpinGraph:
 
 def check_integer(value, what: str) -> int:
     """``value`` as an int, by ``operator.index``: a numpy integer passes,
-    and a float or a string is refused with ValidationError rather than
-    truncated or parsed."""
+    and a float, a string or a bool is refused with ValidationError rather
+    than truncated, parsed or read as 0 or 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValidationError(f"{what} {value!r} is not an integer") from None
+        pass
+    raise ValidationError(f"{what} {value!r} is not an integer")
+
+
+def _model_number(value, what: str) -> float:
+    """A number of a model file as a float; a string or a bool, which
+    ``float`` would parse or read as 0 or 1, is refused with ModelError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{what} {value!r} is not a number")
+    return float(value)
 
 
 def _vertex_id(v) -> int:
@@ -269,7 +279,7 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
 def check_alpha(alpha: float) -> None:
     """Refuse a power-law exponent that is not a positive real number (a
     nan included)."""
-    if not (isinstance(alpha, numbers.Real) and alpha > 0):
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and alpha > 0):
         raise ValidationError(f"power-law exponent alpha must be positive, got {alpha}")
 
 
@@ -326,11 +336,8 @@ def _parse_interaction_class(spec) -> FiniteRange | PowerLaw:
         if "finite_range" in spec:
             r = check_integer(spec["finite_range"], "interaction_class finite_range")
             return FiniteRange(r)
-        try:
-            if "power_law" in spec:
-                return PowerLaw(float(spec["power_law"]))
-        except (TypeError, ValueError):
-            pass
+        if "power_law" in spec:
+            return PowerLaw(_model_number(spec["power_law"], "interaction_class power_law"))
     raise ModelError(f"bad interaction_class entry: {spec!r}")
 
 
@@ -363,13 +370,16 @@ def _term_matrix(entry, support, local_dim: int) -> np.ndarray:
     try:
         if "pauli" in entry:
             _, _, mat = pauli_string(support, entry["pauli"], local_dim)
-            return float(entry.get("coeff", 1.0)) * mat
+            return _model_number(entry.get("coeff", 1.0), "coeff") * mat
         if "matrix" in entry:
             dim = local_dim ** len(support)
             flat = entry["matrix"]
             if len(flat) != dim * dim:
                 raise ModelError(f"matrix for support {support} has {len(flat)} entries, expected {dim * dim}")
-            vals = np.array([complex(re, im) for re, im in flat])
+            vals = np.array([
+                complex(_model_number(re, "matrix entry"), _model_number(im, "matrix entry"))
+                for re, im in flat
+            ])
             return vals.reshape(dim, dim)
     except ModelError:
         raise
@@ -394,9 +404,9 @@ def load_model(path, rescale: bool = False) -> Hamiltonian:
         # _make_term check every integer in them, and the counts
         edges = [(u, v) for u, v in data["edges"]]
         supports = [list(entry["support"]) for entry in data["terms"]]
-        beta = float(data["beta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed field in {path}: {exc!r}") from exc
+    beta = _model_number(data["beta"], "beta")
     graph = build_graph(data["vertices"], edges, data["local_dim"])
     klass = _parse_interaction_class(data["interaction_class"])
     terms = [

@@ -204,7 +204,7 @@ def suite_counting(seed: int) -> tuple[bool, str]:
             for label, within in (("connected within complement", comp),
                                   ("connected within graph", range(model.graph.vertex_count))):
                 want = {v: level for v, level in covers.items() if set(v) <= set(within)}
-                got = {_bits(v): level for v, (level, _, _) in _site_sets(model, within, m).items()}
+                got = {_bits(v): level for v, (level, _) in _site_sets(model, within, m).items()}
                 lines.append(f"{name} m={m} {label}: site sets={len(got)} scan={len(want)}")
                 if got != want:
                     failures.append(f"enumeration {label} {name} m={m}")

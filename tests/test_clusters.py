@@ -221,15 +221,11 @@ class TestSiteSets:
             ):
                 covers.setdefault(make_cluster(ham, idxs).support, m)
         sets = _site_sets(ham, region, order)
-        assert {_bits(v): level for v, (level, _, _) in sets.items()} == covers
-        for v, (level, parent, new) in sets.items():
-            # V grew from a set one level down, and the terms new to V are
-            # those inside V but not inside that set
-            assert parent & ~v == 0 and parent != v
-            assert (sets[parent][0] if parent else 0) == level - 1
-            within = {i for i, t in enumerate(ham.terms) if set(t.support) <= set(_bits(v))}
-            before = {i for i, t in enumerate(ham.terms) if set(t.support) <= set(_bits(parent))}
-            assert new == tuple(sorted(within - before))
+        assert {_bits(v): level for v, (level, _) in sets.items()} == covers
+        for v, (_, inside) in sets.items():
+            # the terms inside V, ascending
+            sites = set(_bits(v))
+            assert inside == tuple(i for i, t in enumerate(ham.terms) if set(t.support) <= sites)
 
 
 class TestOverlapCounts:

@@ -121,6 +121,19 @@ def dense_log_trace_terms(ham, region, order):
     return list(terms[1:])
 
 
+def shared_support_chain():
+    """A 5-site chain whose bond (1, 2) and site 3 each carry two terms."""
+    rng = np.random.default_rng(7)
+    supports = [(0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (0,), (3,), (3,)]
+    terms = []
+    for support in supports:
+        dim = 2 ** len(support)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        terms.append((support, 0.1 * (a + a.conj().T)))
+    graph = build_graph(5, [(i, i + 1) for i in range(4)])
+    return build_hamiltonian(graph, terms, FiniteRange(1), beta=0.5 * BETA_C, rescale=True)
+
+
 class TestScalarSiteSets:
     @pytest.mark.parametrize("build, order, hole", [
         (lambda: random_chain(8, beta=0.5 * BETA_C, seed=0), 6, ()),
@@ -129,7 +142,9 @@ class TestScalarSiteSets:
         (lambda: random_grid(3, 3, beta=0.5 * BETA_C, seed=0), 5, (4,)),
         (lambda: random_grid(2, 4, beta=0.5 * BETA_C, seed=0), 6, ()),
         (lambda: load_model(MODELS / "powerlaw_chain6.json"), 5, ()),
-    ], ids=["chain8", "chain8-Lc", "grid3x3", "grid3x3-Lc", "grid2x4", "powerlaw_chain6"])
+        (shared_support_chain, 6, ()),
+    ], ids=["chain8", "chain8-Lc", "grid3x3", "grid3x3-Lc", "grid2x4", "powerlaw_chain6",
+            "shared-support"])
     def test_per_order_terms_match_the_cluster_route(self, build, order, hole):
         # log Z (nothing left out) and the scalar channel of L = hole, on
         # the scale of the order: the term itself or (beta max||h||)^m.
@@ -145,6 +160,30 @@ class TestScalarSiteSets:
         assert max(gaps) <= 1e-12, f"gap / scale per order: {report}"
         total = len(region) * math.log(ham.local_dim) + sum(want)
         assert _scalar_series(ham, region, order) == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: random_grid(3, 3, beta=0.5 * BETA_C, seed=0), 5),
+        (lambda: load_model(MODELS / "powerlaw_chain6.json"), 5),
+        (shared_support_chain, 6),
+    ], ids=["grid3x3", "powerlaw_chain6", "shared-support"])
+    def test_terms_do_not_depend_on_the_stack_size(self, monkeypatch, build, order):
+        ham = build()
+        region = range(ham.graph.vertex_count)
+        stacks = []
+        series = expansion._log_trace_series
+
+        def spy(h, beta, order):
+            stacks.append(len(h))
+            return series(h, beta, order)
+
+        monkeypatch.setattr(expansion, "_log_trace_series", spy)
+        want = _scalar_terms(ham, region, order)
+        assert max(stacks) > 1  # the default stacks sets
+        monkeypatch.setattr(expansion, "_STACK_BYTES", 1)
+        stacks.clear()
+        got = _scalar_terms(ham, region, order)
+        assert max(stacks) == 1
+        assert np.array_equal(got, want)
 
 
 class TestEffectiveHamiltonian:

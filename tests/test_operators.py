@@ -92,6 +92,22 @@ class TestAddEmbedded:
             expected = kron_embedding(mat, positions, n_sites, d)
             assert np.array_equal(embed_matrix(mat, positions, n_sites, d), expected)
 
+    @pytest.mark.parametrize("positions, n_sites", EMBED_CASES)
+    def test_a_stack_equals_one_call_per_slice(self, rng, positions, n_sites):
+        # a stack of targets and a stack of operators, and one operator
+        # broadcast over the stack
+        for d, scale in EMBED_SCALES:
+            k = len(positions)
+            accs = np.stack([random_complex(rng, d ** n_sites) for _ in range(3)])
+            mats = np.stack([random_complex(rng, d ** k) for _ in range(3)])
+            for mat in (mats, mats[0]):
+                expected = accs.copy()
+                for acc, one in zip(expected, np.broadcast_to(mat, mats.shape)):
+                    add_embedded(acc, one, positions, n_sites, d, scale)
+                got = accs.copy()
+                add_embedded(got, mat, positions, n_sites, d, scale)
+                assert np.array_equal(got, expected)
+
     def test_refuses_a_target_it_cannot_write_through(self, rng):
         acc = random_complex(rng, 4).T  # Fortran order: a reshape would copy
         with pytest.raises(OperatorError):

@@ -27,6 +27,7 @@ can be read off any run.
 import functools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from gibbsmarkov.clusters import enumerate_linking
 from gibbsmarkov.derivatives import MomentTable, cmi_cluster_term
 from gibbsmarkov.expansion import _scalar_terms, effective_hamiltonian
 from gibbsmarkov.operators import embed
-from gibbsmarkov.random_models import random_chain, random_grid
+from gibbsmarkov.random_models import power_law_chain, random_chain, random_grid
+from gibbsmarkov.spin_model import load_model
 
+MODEL_FILES = Path(__file__).resolve().parent.parent / "models"
 BETA = 0.5 * critical_beta(2)
 REGION = (3, 4)
 A, B, C = (0,), (1, 2), (3, 4)
@@ -129,11 +132,14 @@ def check(values, refs, scales, first: int):
 MODELS = {
     "chain8": lambda: random_chain(8, BETA, 0),
     "grid2x4": lambda: random_grid(2, 4, BETA, 0),
+    # log Z only: the region routes refuse a power-law model
+    "powerlaw_chain6": lambda: load_model(MODEL_FILES / "powerlaw_chain6.json"),
+    "powerlaw_chain8": lambda: power_law_chain(8, 2.0, BETA, 0),
 }
-# what keeps the module near 8 s on a shared 2-core host: the grid's H_eff
+# what keeps the module near 9 s on a shared 2-core host: the grid's H_eff
 # stops at order 4 (order 5 takes 1.2 s there, 6 takes 4.6 s and 7 30 s),
 # and the CMI at order 6 (order 7 takes 40 s); the chain's H_eff at order 7
-# takes 4.6 s of the 8
+# takes 4.6 s of the 9, and the 8-site power-law oracle 0.9 s
 EFFHAM = {"chain8": 7, "grid2x4": 4}
 LOGZ_ORDER, CMI_ORDER = 7, 6
 

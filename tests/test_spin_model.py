@@ -125,9 +125,9 @@ class TestRegions:
     def test_check_regions_returns_sorted_distinct_tuples(self):
         assert chain(4).check_regions((3, 1, 1), (0,)) == ((1, 3), (0,))
         assert chain(4).check_regions() == ()
-        assert chain(4).check_regions((np.int64(3), True)) == ((1, 3),)
+        assert chain(4).check_regions((np.int64(3), 1)) == ((1, 3),)
 
-    @pytest.mark.parametrize("vertex", [1.7, "1", np.float64(2.0)])
+    @pytest.mark.parametrize("vertex", [1.7, "1", np.float64(2.0), True])
     def test_check_regions_refuses_an_id_that_is_not_an_integer(self, vertex):
         message = re.escape(f"vertex id {vertex!r} is not an integer")
         with pytest.raises(ValidationError, match=message):
@@ -203,6 +203,71 @@ class TestIntegerInputs:
         ham = build_hamiltonian(g, [((0, 1), 0.1 * ZZ)], FiniteRange(np.int64(1)), beta=0.01)
         assert (g.vertex_count, g.local_dim) == (3, 2)
         assert ham.range_r == 1
+
+
+def edit_power_law(doc, value):
+    doc["interaction_class"] = {"power_law": value}
+
+
+def edit_finite_range(doc, value):
+    doc["interaction_class"] = {"finite_range": value}
+
+
+def edit_support(doc, value):
+    doc["terms"][0]["support"] = [value]
+
+
+def edit_beta(doc, value):
+    doc["beta"] = value
+
+
+def edit_matrix_entry(doc, value):
+    doc["terms"][0]["matrix"][0] = [value, 0.0]
+
+
+def edit_coeff(doc, value):
+    doc["terms"][0] = {"support": [0], "pauli": "Z", "coeff": value}
+
+
+class TestModelFileNumbers:
+    """A number in a model file is a JSON number: a string, which float()
+    or int() would parse, and a bool, which they would read as 0 or 1, are
+    refused."""
+
+    @pytest.mark.parametrize("model, edit, value, error, message", [
+        ("powerlaw_chain6", edit_power_law, "2", ModelError,
+         "interaction_class power_law '2' is not a number"),
+        ("powerlaw_chain6", edit_power_law, True, ModelError,
+         "interaction_class power_law True is not a number"),
+        ("tfi_chain6", edit_finite_range, True, ValidationError,
+         "interaction_class finite_range True is not an integer"),
+        ("tfi_chain6", edit_support, True, ValidationError, "vertex id True is not an integer"),
+        ("tfi_chain6", edit_beta, "0.01", ModelError, "beta '0.01' is not a number"),
+        ("tfi_chain6", edit_beta, True, ModelError, "beta True is not a number"),
+        ("tfi_chain6", edit_matrix_entry, True, ModelError, "matrix entry True is not a number"),
+        ("tfi_chain6", edit_coeff, "0.4", ModelError, "coeff '0.4' is not a number"),
+    ], ids=["power_law-string", "power_law-bool", "finite_range-bool", "support-bool",
+            "beta-string", "beta-bool", "matrix-bool", "coeff-string"])
+    def test_refuses_a_string_or_a_bool(self, tmp_path, model, edit, value, error, message):
+        doc = json.loads((MODELS / f"{model}.json").read_text())
+        edit(doc, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(error, match=re.escape(message)):
+            load_model(bad)
+
+    def test_an_integer_exponent_is_a_number(self, tmp_path):
+        doc = json.loads((MODELS / "powerlaw_chain6.json").read_text())
+        edit_power_law(doc, 2)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert load_model(path).interaction_class == PowerLaw(2.0)
+
+    def test_bool_counts_and_exponents_are_refused(self):
+        with pytest.raises(ValidationError, match="vertex_count True is not an integer"):
+            build_graph(True, [])
+        with pytest.raises(ValidationError, match="alpha must be positive, got True"):
+            build_hamiltonian(chain(3), [((0, 1), 0.1 * ZZ)], PowerLaw(True), beta=0.01)
 
 
 class TestRandomChain:
