@@ -9,7 +9,10 @@ The Gibbs state is one matrix exponential, not an eigendecomposition: above
 the threshold temperature beta*||H|| is small, so e^{-beta H} is a short
 Taylor polynomial, taken by scaling and squaring (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179 (2005)) with its degree and scaling set by the norm
-bound ||beta H|| <= beta * sum_j ||h_j||.  The dense Hamiltonian is summed in
+bound ||beta H|| <= beta * sum_j ||h_j||.  It lives in two dense arrays:
+the polynomial is evaluated one block of columns at a time over the
+Hamiltonian's own storage, and every product whose result is Hermitian is
+formed on and above the diagonal only.  The dense Hamiltonian is summed in
 place, each term added through a diagonal view of the (d,)^{2n} tensor
 (:func:`~gibbsmarkov.operators.sum_embedded`).
 """
@@ -73,6 +76,86 @@ def _taylor_plan(x: float) -> tuple[int, int]:
     return s, k
 
 
+# Columns per block of the Taylor polynomial and of the Hermitian products.
+# Every block re-reads all of A^2, so the width is a column count, not a
+# byte budget: blocks of 256 KB, 8 columns at 11 sites, ran 2.1x slower.
+# 64 to 128 columns ran alike at 9 and 10 qubits, and wider blocks ran
+# faster at 12 (2-core host, one BLAS thread: 25.3, 21.7 and 18.7 s at 64,
+# 96 and 128).  At 96 the two Horner buffers are at most 3/8 of a d^n x d^n
+# matrix from d^n = 512 on; 128 would make them half of one there.
+_BLOCK_COLUMNS = 96
+
+
+def _blocks(dim: int) -> list[tuple[int, int]]:
+    """(first, stop) of each block of columns of a dim x dim matrix."""
+    return [(first, min(first + _BLOCK_COLUMNS, dim)) for first in range(0, dim, _BLOCK_COLUMNS)]
+
+
+def _mirror_upper(m: np.ndarray) -> None:
+    """Overwrite the part of the Hermitian ``m`` below its diagonal blocks
+    with the conjugate transpose of the part above them."""
+    for first, stop in _blocks(m.shape[0]):
+        m[stop:, first:stop] = m[first:stop, stop:].conj().T
+
+
+def _hermitian_product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out = x @ y for a product known to be Hermitian: the blocks on and
+    above the diagonal are multiplied, the rest mirrored."""
+    for first, stop in _blocks(x.shape[0]):
+        np.matmul(x[:stop], y[:, first:stop], out=out[:stop, first:stop])
+    _mirror_upper(out)
+
+
+def _pair(cols: np.ndarray, out: np.ndarray, first: int, c0: float, c1: float) -> None:
+    """``out`` = the columns first, first + 1, ... of c0 I + c1 A, from
+    ``cols``, the same columns of A or their top rows; ``out`` may be
+    ``cols``."""
+    np.multiply(cols, c1, out=out)
+    diag = np.einsum("ii->i", out[first:first + out.shape[1]])
+    diag += c0
+
+
+def _taylor_in_place(a: np.ndarray, k: int) -> np.ndarray | None:
+    """Overwrite the Hermitian ``a`` with sum_{j<=k} a^j / j! and return the
+    array that held a^2 (None below degree 2) for reuse.
+
+    The polynomial is sum_i pair(i) A^{2i}, pair(i) = c_{2i} I + c_{2i+1} A,
+    by Horner in A^2 (Paterson and Stockmeyer, SIAM J. Comput. 2, 60
+    (1973)): one product for A^2 and one per remaining pair.  Columns J of
+    the polynomial need only A^2 and A's columns J, so each block of columns
+    is evaluated on its own, in two d^n x |J| buffers, and written over A's.
+    A^2 and the polynomial are Hermitian: A^2 and the last Horner step are
+    formed on and above the diagonal blocks only, and mirrored.
+    """
+    coeff = [1.0 / math.factorial(j) for j in range(k + 1)] + [0.0]
+    if k < 2:
+        _pair(a, a, 0, coeff[0], coeff[1])
+        return None
+    dim, top = a.shape[0], k // 2
+    a2 = np.empty_like(a)
+    _hermitian_product(a, a, a2)
+    buffers = np.empty((2, dim, min(_BLOCK_COLUMNS, dim)), dtype=a.dtype)
+    for first, stop in _blocks(dim):
+        cols = a[:, first:stop]
+        r, t = buffers[:, :, :stop - first]
+        _pair(cols, r, first, coeff[2 * top], coeff[2 * top + 1])
+        for i in range(top - 1, 0, -1):
+            np.matmul(a2, r, out=t)
+            _pair(cols, r, first, coeff[2 * i], coeff[2 * i + 1])
+            t += r
+            r, t = t, r
+        # the last step only on and above the diagonal block: the rest of
+        # these columns is mirrored from later blocks at the end
+        np.matmul(a2[:stop], r, out=t[:stop])
+        upper = cols[:stop]
+        _pair(upper, upper, first, coeff[0], coeff[1])
+        upper += t[:stop]
+    # the mirror's temporary is one block: free the two buffers first
+    del buffers, r, t
+    _mirror_upper(a)
+    return a2
+
+
 def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
     """Dense Gibbs state e^{-beta H}/Z by scaling and squaring.
 
@@ -82,38 +165,28 @@ def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
     polynomial and every square are divided by their trace, and the logs of
     those traces are accumulated into log Z, so nothing overflows at large
     beta.  No eigensolver runs.
+
+    Two d^n x d^n arrays are alive at the peak: A, which becomes rho, and
+    A^2, whose array then takes every other square.  The polynomial is
+    evaluated by blocks of columns (``_taylor_in_place``), and the
+    temporaries of the blocks and of the squares stay below half a d^n x d^n
+    array from 9 qubits on.
     """
     n = ham.graph.vertex_count
     if n > limit:
         raise EDLimitError(f"{n} sites exceeds the dense-diagonalization limit {limit}")
     x = ham.beta * sum(t.norm for t in ham.terms)
     s, k = _taylor_plan(x)
-    a = hamiltonian_matrix(ham).matrix
-    a *= -ham.beta / 2.0 ** s
-    coeff = [1.0 / math.factorial(j) for j in range(k + 1)] + [0.0]
-    step = a.shape[0] + 1  # flat stride of the diagonal
-
-    def pair(i):  # c_{2i} I + c_{2i+1} A
-        out = a * coeff[2 * i + 1]
-        out.flat[::step] += coeff[2 * i]
-        return out
-
-    # sum_i pair(i) A^{2i} by Horner in A^2 (Paterson-Stockmeyer): one
-    # product for A^2 and one per remaining pair, three at degree 5.  At
-    # most four d^n x d^n matrices are alive at once.
-    rho_mat = pair(k // 2)
-    if k >= 2:
-        a2 = a @ a
-        for i in range(k // 2 - 1, -1, -1):
-            rho_mat = a2 @ rho_mat
-            rho_mat += pair(i)
-        del a2
-    del a
+    rho_mat = hamiltonian_matrix(ham).matrix
+    rho_mat *= -ham.beta / 2.0 ** s
+    # s >= 1 puts x / 2^s above 1/4, where k >= 2, so spare is an array
+    spare = _taylor_in_place(rho_mat, k)
     t = np.trace(rho_mat).real
     rho_mat /= t
     log_z = math.log(t)
     for _ in range(s):
-        rho_mat = rho_mat @ rho_mat
+        _hermitian_product(rho_mat, rho_mat, spare)
+        rho_mat, spare = spare, rho_mat
         t = np.trace(rho_mat).real
         rho_mat /= t
         log_z = 2.0 * log_z + math.log(t)

@@ -118,20 +118,20 @@ def add_embedded(acc: np.ndarray, mat: np.ndarray, positions, n_sites: int, d: i
     need not be sorted), and the identity on the other qudits of the
     ``n_sites``, whose ordering is 0..n_sites-1.
 
-    ``acc`` is a C-contiguous d^n x d^n array, n = ``n_sites``.  An einsum
-    of its (d,)^{2n} tensor that pairs the row and column index of every
-    site outside ``positions`` is a writable view of the entries where the
-    identity factor is 1, with the positions' row and column axes first, in
-    the order given; ``scale * mat`` is added there by broadcasting.  Entry
-    by entry this adds the numbers the embedding would, and leaves every
-    entry where the embedding is 0 untouched.
+    ``acc`` is a writable d^n x d^n array, n = ``n_sites``, in any memory
+    layout.  Splitting its row and column axes into n qudit axes each never
+    copies, so its (d,)^{2n} tensor is a view of it, and an einsum of that
+    tensor that pairs the row and column index of every site outside
+    ``positions`` is a writable view of the entries where the identity factor
+    is 1, with the positions' row and column axes first, in the order given;
+    ``scale * mat`` is added there by broadcasting.  Entry by entry this adds
+    the numbers the embedding would, and leaves every entry where the
+    embedding is 0 untouched.
 
     ``acc`` may be a stack of such matrices along leading axes, and ``mat``
     a stack that broadcasts against it; each slice gets, bitwise, what it
     would get alone.
     """
-    if not acc.flags.c_contiguous:
-        raise OperatorError("add_embedded needs a C-contiguous target")
     positions = tuple(positions)
     plan = _diagonal_labels(positions, n_sites)
     if plan is None:

@@ -399,6 +399,10 @@ def load_model(path, rescale: bool = False) -> Hamiltonian:
     for key in ("local_dim", "vertices", "edges", "interaction_class", "beta", "terms"):
         if key not in data:
             raise ModelError(f"model file missing key {key!r}")
+    for key in ("edges", "terms"):
+        # a string or an object would iterate as an empty or a wrong list
+        if not isinstance(data[key], list):
+            raise ModelError(f"model file field {key!r} must be a JSON array, got {data[key]!r}")
     try:
         # a vertex pair per edge and a list per support; build_graph and
         # _make_term check every integer in them, and the counts

@@ -1,6 +1,7 @@
 """Sanity checks of the dense-diagonalization reference on solvable cases."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,14 @@ class TestExactGibbs:
         assert np.isfinite(st.rho.matrix).all()
 
 
+def qutrit_chain(n, beta, seed, norm=0.3):
+    """A chain of d = 3 sites with a random bond term of the given norm."""
+    rng = np.random.default_rng(seed)
+    g = build_graph(n, [(i, i + 1) for i in range(n - 1)], local_dim=3)
+    terms = [((i, i + 1), random_hermitian(rng, 9, norm)) for i in range(n - 1)]
+    return build_hamiltonian(g, terms, FiniteRange(1), beta=beta)
+
+
 def embed_sum(ham):
     """The dense Hamiltonian as the sum of each term embedded on its own."""
     support = tuple(range(ham.graph.vertex_count))
@@ -81,6 +90,10 @@ class TestScaledTaylorExponential:
         (random_chain(7, beta=0.9 * BETA_C, seed=5), False),
         (tfi_chain(5, beta=1.0), True),
         (ferro_chain(3, beta=500.0), True),
+        # several column blocks, and squares of several blocks
+        (tfi_chain(8, beta=1.0), True),
+        # d^n = 243, not a multiple of the block width
+        (qutrit_chain(5, beta=1.0, seed=17), True),
     ])
     def test_matches_eigendecomposition(self, ham, scaled):
         x = ham.beta * sum(t.norm for t in ham.terms)
@@ -90,6 +103,21 @@ class TestScaledTaylorExponential:
         rho, log_z = eigh_gibbs(ham)
         assert np.max(np.abs(st.rho.matrix - rho)) <= 1e-13 * np.max(np.abs(rho))
         assert abs(st.log_z - log_z) <= 1e-13 * abs(log_z)
+
+    @pytest.mark.parametrize("ham", [
+        random_chain(9, beta=0.25 * BETA_C, seed=0),  # the Taylor polynomial alone
+        tfi_chain(9, beta=1.0),  # and four squares
+    ])
+    def test_peak_memory_is_two_and_a_half_matrices(self, ham):
+        # A, which becomes rho, and A^2 are 2 x 16 * 4^9 bytes; the column
+        # blocks and the mirror add less than half a matrix
+        tracemalloc.start()
+        try:
+            ed.exact_gibbs(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * 4 ** 9
 
     def test_plan_at_the_benchmark_temperature(self):
         # beta*sum||h_j|| ~ 4e-3 on a 9-site chain at beta_c/4

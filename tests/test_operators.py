@@ -108,10 +108,18 @@ class TestAddEmbedded:
                 add_embedded(got, mat, positions, n_sites, d, scale)
                 assert np.array_equal(got, expected)
 
-    def test_refuses_a_target_it_cannot_write_through(self, rng):
-        acc = random_complex(rng, 4).T  # Fortran order: a reshape would copy
-        with pytest.raises(OperatorError):
-            add_embedded(acc, np.eye(2), (0,), 2, 2)
+    @pytest.mark.parametrize("positions, n_sites", [((0,), 2), ((1,), 3), ((2, 0), 3)])
+    def test_writes_through_a_strided_target(self, rng, positions, n_sites):
+        # a transposed matrix and every other slice of a stack: neither is
+        # C-contiguous, and each must get what a C-contiguous copy gets
+        mat = random_complex(rng, 2 ** len(positions))
+        stack = np.stack([random_complex(rng, 2 ** n_sites) for _ in range(4)])
+        for target in (random_complex(rng, 2 ** n_sites).T, stack[::2]):
+            assert not target.flags.c_contiguous
+            expected = np.ascontiguousarray(target)
+            add_embedded(expected, mat, positions, n_sites, 2, 0.5)
+            add_embedded(target, mat, positions, n_sites, 2, 0.5)
+            assert np.array_equal(target, expected)
 
 
 class TestPartialTrace:

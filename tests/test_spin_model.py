@@ -514,6 +514,16 @@ class TestModelFiles:
         with pytest.raises(ValidationError):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["edges", "terms"])
+    @pytest.mark.parametrize("value", ["", {}, 3], ids=["string", "object", "number"])
+    def test_edges_and_terms_must_be_arrays(self, tmp_path, key, value):
+        doc = json.loads((MODELS / "tfi_chain6.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=f"field '{key}' must be a JSON array"):
+            load_model(bad)
+
     def _power_law_doc(self, interaction_class):
         return {
             "local_dim": 2,
