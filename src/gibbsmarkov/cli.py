@@ -248,11 +248,15 @@ def cmd_cmi(args, ham) -> int:
     }
     if res.cmi_estimate is not None:
         exact = ed.exact_cmi(st, a, b, c)
-        lines.append(f"tr(rho H) estimate: {res.cmi_estimate:.6e}   ED exact CMI: {exact:.6e}")
+        floor = ed.exact_cmi_floor(ham.local_dim, len(a + b + c))
+        mark = "  (below the ED round-off floor)" if exact < floor else ""
+        lines.append(f"tr(rho H) estimate: {res.cmi_estimate:.6e}   ED exact CMI: {exact:.6e}{mark}")
+        lines.append(f"ED round-off floor: {floor:.6e}")
         lines.append("recovery error bound from estimate: "
                      f"{recovery_error_bound(max(res.cmi_estimate, 0.0)):.6e}")
         payload["cmi_estimate"] = res.cmi_estimate
         payload["ed_cmi"] = exact
+        payload["ed_cmi_floor"] = floor
     _run(args, ham, lines, payload)
     return 0
 

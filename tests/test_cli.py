@@ -1,6 +1,7 @@
 """Smoke tests of every CLI subcommand, driven through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +144,24 @@ class TestSubcommands:
         assert rc == 0
         assert "ED exact CMI" in out
         assert "finite_range_cmi_bound" in out
+
+    def test_cmi_marks_an_ed_value_below_the_round_off_floor(self, capsys, model_file, tmp_path):
+        # B two sites wide: the ED CMI is round-off; B empty: the mutual
+        # information of two neighbours is far above the floor
+        out_file = tmp_path / "cmi.json"
+        for (a, b, c), n_sites, below in [
+            (("0", "1,2", "3,4,5"), 6, True), (("0", "", "1"), 2, False),
+        ]:
+            rc, out = run(capsys, [
+                "cmi", "--model", model_file, "--A", a, "--B", b, "--C", c,
+                "--order", "2", "--out", str(out_file),
+            ])
+            assert rc == 0
+            payload = json.loads(out_file.read_text())
+            floor = 16 * sys.float_info.epsilon * n_sites * math.log(2)
+            assert payload["ed_cmi_floor"] == pytest.approx(floor, rel=1e-15)
+            assert (payload["ed_cmi"] < floor) is below
+            assert ("below the ED round-off floor" in out) is below
 
     def test_bound_without_model(self, capsys):
         rc, out = run(capsys, [

@@ -19,6 +19,7 @@ from gibbsmarkov.bounds import critical_beta
 from gibbsmarkov.clusters import enumerate_connected, enumerate_linking, make_cluster
 from gibbsmarkov.derivatives import (
     MomentTable,
+    _traced_apart,
     cluster_derivative,
     cmi_cluster_term,
     cmi_derivative_norm_bound,
@@ -26,7 +27,7 @@ from gibbsmarkov.derivatives import (
 )
 from gibbsmarkov.expansion import effective_hamiltonian
 from gibbsmarkov.operators import embed, embed_matrix, operator_norm
-from gibbsmarkov.random_models import random_chain
+from gibbsmarkov.random_models import random_chain, random_grid
 from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
 from gibbsmarkov import verify
 from gibbsmarkov.verify import exact_derivative, run_suite
@@ -277,13 +278,21 @@ class TestTableMemory:
 
         monkeypatch.setattr(MomentTable, "_product", spy)
         table = MomentTable(ham)
+        regions = [(0, 1, 2), (1, 2, 3), (0, 1, 2, 3), (1, 2)]
+        shared = 0
         for c in enumerate_linking(ham, (0,), (3,), 4):
             formed.clear()
             cmi_cluster_term(ham, c, (0,), (1, 2), (3,), moments=table)
-            # every kept region read the one product formed for the cluster
+            # every kept region read the one product formed for the cluster;
+            # the regions whose derivative vanishes exactly read nothing
             tops = [array for alpha, array in formed if alpha == c.term_indices]
-            assert len(tops) >= 2 and all(array is tops[0] for array in tops)
-            assert max(len(alpha) for alpha in table._products) < 4
+            read = sum(not _traced_apart(ham, c.term_indices, set(r)) for r in regions)
+            if read >= 2:
+                assert len(tops) >= 2
+                shared += 1
+            assert all(array is tops[0] for array in tops)
+            assert max((len(alpha) for alpha in table._products), default=0) < 4
+        assert shared
 
 
 class TestScalarMoment:
@@ -312,6 +321,72 @@ class TestScalarMoment:
             got = MomentTable(ham).moment(alpha, ())
             assert got.shape == (1, 1)
             assert abs(got[0, 0] - expected) <= 1e-14 * abs(expected)
+
+
+class TestTracedApart:
+    """At m >= 2 a cluster derivative is exactly zero when no traced site
+    is met by two element occurrences (``_traced_apart``), and only then
+    does ``cluster_derivative`` skip it."""
+
+    MODELS = {
+        "chain5": lambda: random_chain(5, 0.5 * critical_beta(2), seed=4),
+        "grid2x3": lambda: random_grid(2, 3, 0.5 * critical_beta(2), seed=4),
+    }
+
+    @staticmethod
+    def bound(ham, m):
+        return 1e-14 * (ham.beta * max(t.norm for t in ham.terms)) ** m
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_every_skipped_derivative_vanishes(self, model):
+        # every connected cluster of m = 2..4 with nothing kept, one site
+        # kept, or two neighbouring sites kept
+        ham = self.MODELS[model]()
+        n = ham.graph.vertex_count
+        keeps = [()] + [(v,) for v in range(n)] + list(ham.graph.edges)
+        table = MomentTable(ham)
+        skipped = 0
+        for m in (2, 3, 4):
+            for c in enumerate_connected(ham, m):
+                for kept in keeps:
+                    if not _traced_apart(ham, c.term_indices, set(kept)):
+                        continue
+                    skipped += 1
+                    got = cluster_derivative(ham, c, kept, moments=table)
+                    assert not got.any()
+                    ref = exact_derivative(ham, c, kept)
+                    assert np.max(np.abs(ref)) <= self.bound(ham, m), (c.term_indices, kept)
+        assert skipped > 100
+        assert not table._products and not table._moments
+
+    def test_a_traced_site_met_twice_is_not_skipped(self, rng):
+        ham = self.MODELS["chain5"]()
+        f0, f1, b01, b12, b23 = (
+            term_index(ham, s) for s in [(0,), (1,), (0, 1), (1, 2), (2, 3)]
+        )
+        cases = [
+            # a repeated term on a traced site
+            ((b01, b01), (1,)),
+            ((f0, f0), (1,)),
+            ((f0, b01, b01), (1, 2)),
+            ((b01, b12, b12), (0, 1)),
+            # terms sharing one traced site, and no other shared
+            ((b01, b12), (0,)),
+            ((b01, b12), (0, 2)),
+            ((f1, b12), (2,)),
+            # connected clusters with nothing kept
+            ((b01, b12), ()),
+            ((b01, b12, b23), ()),
+        ]
+        cases = [(ham, make_cluster(ham, idxs), kept) for idxs, kept in cases]
+        # and the m = 5 cases of the method agreement
+        cases += [case for case in TestMethodAgreement().cases(rng) if case[1].size == 5]
+        for h, c, kept in cases:
+            assert not _traced_apart(h, c.term_indices, set(kept))
+            ref = exact_derivative(h, c, kept)
+            assert np.max(np.abs(ref)) > self.bound(h, c.size), (c.term_indices, kept)
+            got = cluster_derivative(h, c, kept)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestVanishing:
