@@ -249,11 +249,14 @@ def cmd_cmi(args, ham) -> int:
     if res.cmi_estimate is not None:
         exact = ed.exact_cmi(st, a, b, c)
         floor = ed.exact_cmi_floor(ham.local_dim, len(a + b + c))
-        mark = "  (below the ED round-off floor)" if exact < floor else ""
-        lines.append(f"tr(rho H) estimate: {res.cmi_estimate:.6e}   ED exact CMI: {exact:.6e}{mark}")
+        marks = ["  (below the ED round-off floor)" if value < floor else ""
+                 for value in (res.cmi_estimate, exact)]
+        lines.append(f"tr(rho H) estimate: {res.cmi_estimate:.6e}{marks[0]}"
+                     f"   ED exact CMI: {exact:.6e}{marks[1]}")
         lines.append(f"ED round-off floor: {floor:.6e}")
-        lines.append("recovery error bound from estimate: "
-                     f"{recovery_error_bound(max(res.cmi_estimate, 0.0)):.6e}")
+        # a CMI below the floor is round-off: the bound reads the floor
+        lines.append("recovery error bound from max(ED CMI, floor): "
+                     f"{recovery_error_bound(max(exact, floor)):.6e}")
         payload["cmi_estimate"] = res.cmi_estimate
         payload["ed_cmi"] = exact
         payload["ed_cmi_floor"] = floor

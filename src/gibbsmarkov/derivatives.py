@@ -22,10 +22,11 @@ V_w - V_alpha contributes an identity), so clusters that share a
 sub-multiset share its moment.  One :class:`MomentTable` per expansion call
 memoizes the symmetrized products and the moments, so every cluster and all
 four CMI regions read each of them from one place, along with the
-contraction plans and log-step workspace those reads need; nothing in it
-outlives the call that made it.  Every partial trace here, full ones
-included, is one :func:`~gibbsmarkov.operators.trace_out` of a product, and
-every identity padding one :func:`~gibbsmarkov.operators.add_embedded`.
+log-step workspace those reads need; nothing in it outlives the call that
+made it.  Every partial trace here, full ones included, is one
+:func:`~gibbsmarkov.operators.trace_out` of a product, every identity
+padding one :func:`~gibbsmarkov.operators.add_embedded`, and every product
+one :func:`~gibbsmarkov.operators.embedded_product`.
 Two kinds of derivative are exact zeros and form no moment: a cluster
 whose supports fall apart (the vanishing lemma), and, at m >= 2, one where
 no traced site is met by two element occurrences (the proof is in
@@ -47,48 +48,9 @@ import operator
 
 import numpy as np
 
-from .operators import SupportedOperator, add_embedded, embed_matrix, trace_out
+from .operators import SupportedOperator, add_embedded, embed_matrix, embedded_product, trace_out
 from .spin_model import Hamiltonian
 from .clusters import Cluster, overlap_counts
-
-
-def _times_plan(a_sites, b_sites, support, d: int):
-    """How :func:`_times` lays out one site pattern: the shape and axis order
-    of each factor, the width of the shared qudits, and the shape and axis
-    order of the result."""
-    u, k = len(a_sites), len(b_sites)
-    shared = [i for i, v in enumerate(a_sites) if v in b_sites]
-    rest = [i for i, v in enumerate(a_sites) if v not in b_sites]
-    new = [i for i, v in enumerate(b_sites) if v not in a_sites]
-    # a as (rows, columns off b | columns shared); b as (rows shared | rows
-    # of its new sites, columns)
-    a_axes = list(range(u)) + [u + i for i in rest] + [u + i for i in shared]
-    b_axes = [b_sites.index(a_sites[i]) for i in shared] + new + list(range(k, 2 * k))
-    rows = {v: i for i, v in enumerate(a_sites)}
-    rows.update({b_sites[i]: u + len(rest) + j for j, i in enumerate(new)})
-    cols = {a_sites[i]: u + j for j, i in enumerate(rest)}
-    cols.update({v: u + len(rest) + len(new) + i for i, v in enumerate(b_sites)})
-    out_axes = [rows[v] for v in support] + [cols[v] for v in support]
-    return (
-        (d,) * (2 * u), a_axes, (d,) * (2 * k), b_axes,
-        d ** len(shared), (d,) * (2 * len(support)), out_axes,
-    )
-
-
-def _times(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
-    """(a (x) I) (b (x) I) on the support of ``plan`` (a :func:`_times_plan`
-    of a's and b's sites), as a view with one axis per row qudit, then one
-    per column qudit, each in ascending order.
-
-    Only the qudits that a and b share are summed over, in one matrix
-    product: for a k-local b on n sites that costs d^(2n + k), not the
-    d^(3n) of a dense product, and no identity is ever formed.  With
-    disjoint sites it is the tensor product a (x) b."""
-    a_shape, a_axes, b_shape, b_axes, width, out_shape, out_axes = plan
-    left = a.reshape(a_shape).transpose(a_axes)
-    right = b.reshape(b_shape).transpose(b_axes)
-    out = left.reshape(-1, width) @ right.reshape(width, -1)
-    return out.reshape(out_shape).transpose(out_axes)
 
 
 class MomentTable:
@@ -123,47 +85,29 @@ class MomentTable:
 
     Besides the entries, the table holds what does not change between
     clusters: V_alpha and the components of each alpha, computed once; the
-    contraction plan (:func:`_times_plan`) of each site pattern a product
-    meets, built once; the recorded cluster and its held product; and the
-    block matrix of :func:`cluster_derivative`'s log step, one per cluster
-    size and kept dimension.  The last two make a table serve one thread at
-    a time.  All of it goes with the table.
+    recorded cluster and its held product; and the block matrix of
+    :func:`cluster_derivative`'s log step, one per cluster size and kept
+    dimension.  The last two make a table serve one thread at a time.  All
+    of it goes with the table.
     """
 
     def __init__(self, ham: Hamiltonian):
         self.ham = ham
         self._products: dict = {}
         # kept -> {alpha: W(alpha, kept)}: one (kept, alpha) key tuple per
-        # entry would take 5 MB more on the 6x6 grid of :meth:`_plan`
+        # entry would take 5 MB more for H_eff of the 6x6 grid at order 5
         self._moments: dict = {}
         self._shapes: dict = {}
         self._supports: dict = {}
-        self._plans: dict = {}
         self._blocks: dict = {}
         self._held: tuple = ((), None)  # (recorded cluster, its (V, P) or None)
-
-    def _plan(self, a_sites, b_sites, sites):
-        """The :func:`_times_plan` of a site pattern, made once.  A plan
-        depends only on how the sites order and overlap, so patterns that
-        differ by a shift of every vertex id (a translate on a chain) share
-        one: for H_eff on a 6x6 grid at order 5, 3 296 plans instead of
-        29 259, and 22 MB less peak memory."""
-        base = min(a_sites + b_sites, default=0)
-        a_sites = tuple([v - base for v in a_sites])
-        b_sites = tuple([v - base for v in b_sites])
-        sites = tuple([v - base for v in sites])
-        key = a_sites, b_sites, sites
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = _times_plan(a_sites, b_sites, sites, self.ham.local_dim)
-        return plan
 
     def _shape(self, alpha) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(V_alpha, the connected components of alpha, sorted, when it has
         two or more, else ()).  The table holds one entry per alpha it
         meets, so a connected alpha stores no copy of itself, and equal
-        supports share one tuple (4 MB less on the 6x6 grid of
-        :meth:`_plan`)."""
+        supports share one tuple (4 MB less for H_eff of the 6x6 grid at
+        order 5)."""
         hit = self._shapes.get(alpha)
         if hit is not None:
             return hit
@@ -209,8 +153,8 @@ class MomentTable:
             for part in parts[1:]:
                 part_sites, part_prod = self._product(part)
                 joint = tuple(sorted(sites + part_sites))
-                plan = self._plan(sites, part_sites, joint)
-                prod = _times(prod, part_prod, plan).reshape(d ** len(joint), -1)
+                prod = embedded_product(prod, _positions(sites, joint), part_prod,
+                                        _positions(part_sites, joint), len(joint), d)
                 sites = joint
             count = math.factorial(len(alpha))
             for part in parts:
@@ -219,12 +163,13 @@ class MomentTable:
         if len(alpha) == 1:
             hit = support, self.ham.terms[alpha[0]].matrix
         else:
-            prod = np.zeros((d,) * (2 * len(support)), dtype=complex)
+            n = len(support)
+            prod = np.zeros((d ** n, d ** n), dtype=complex)
             for count, sites, rest, term in self._steps(alpha):
-                plan = self._plan(sites, term.support, support)
-                step = _times(rest, term.matrix, plan)
+                step = embedded_product(rest, _positions(sites, support), term.matrix,
+                                        _positions(term.support, support), n, d)
                 prod += count * step if count > 1 else step
-            hit = support, prod.reshape(d ** len(support), -1)
+            hit = support, prod
         if alpha == top:
             self._held = alpha, hit
         else:
@@ -278,6 +223,11 @@ class MomentTable:
             n = 1 << m
             block = self._blocks[m, dim] = np.zeros((n, dim, n, dim), dtype=complex)
         return block
+
+
+def _positions(sites, support) -> list[int]:
+    """The position in the sorted tuple ``support`` of each of ``sites``."""
+    return [support.index(v) for v in sites]
 
 
 def _traced_apart(ham: Hamiltonian, term_indices, kept_set) -> bool:
@@ -340,8 +290,7 @@ def cluster_derivative(
     and takes m - 1 products of M, of size 2^m d^|kept|, with one block
     column.  The blocks of M sit at the same places for every cluster of m
     elements, so the table keeps one M per (m, d^|kept|) and each cluster
-    overwrites its blocks in place; the contraction plans its moments use
-    live in the same table.
+    overwrites its blocks in place.
 
     With nothing kept (a CMI piece whose region misses V_w) the moments are
     numbers, and the same chain runs at kept dimension 1.

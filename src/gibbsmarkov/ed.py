@@ -14,7 +14,8 @@ the polynomial is evaluated one block of columns at a time over the
 Hamiltonian's own storage, and every product whose result is Hermitian is
 formed on and above the diagonal only.  The dense Hamiltonian is summed in
 place, each term added through a diagonal view of the (d,)^{2n} tensor
-(:func:`~gibbsmarkov.operators.sum_embedded`).
+(:func:`~gibbsmarkov.operators.sum_embedded`).  Every entropy is |X| log d
+minus one deficit of the marginal on X (``_deficit``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .operators import (
 from .spin_model import Hamiltonian
 
 DEFAULT_ED_LIMIT = 12
-
-EIG_FLOOR = 1e-15
 
 # exact_cmi combines four entropy deficits, each at most |X| log d.  Its
 # round-off, measured over random local basis changes of small random
@@ -60,11 +59,13 @@ class ExactGibbs:
         return self.hamiltonian.beta
 
 
-def hamiltonian_matrix(ham: Hamiltonian) -> SupportedOperator:
-    """The full Hamiltonian as a dense operator on all vertices."""
-    support = tuple(range(ham.graph.vertex_count))
-    mat = sum_embedded(((1.0, t) for t in ham.terms), support, ham.local_dim)
-    return SupportedOperator(support, mat, local_dim=ham.local_dim)
+def hamiltonian_matrix(ham: Hamiltonian, sites=None) -> SupportedOperator:
+    """The sum of the terms inside the sorted vertex tuple ``sites``, every
+    vertex by default, as a dense operator on ``sites``."""
+    sites = tuple(range(ham.graph.vertex_count)) if sites is None else sites
+    inside = [(1.0, t) for t in ham.terms if set(t.support) <= set(sites)]
+    mat = sum_embedded(inside, sites, ham.local_dim)
+    return SupportedOperator(sites, mat, local_dim=ham.local_dim)
 
 
 def _taylor_plan(x: float) -> tuple[int, int]:
@@ -199,14 +200,10 @@ def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
     return ExactGibbs(ham, rho, log_z)
 
 
-def _entropy_of_eigenvalues(w: np.ndarray) -> float:
-    w = np.clip(w.real, EIG_FLOOR, None)
-    return float(-(w * np.log(w)).sum())
-
-
 def entropy(op: SupportedOperator) -> float:
-    """Von Neumann entropy (natural log) of a density operator."""
-    return _entropy_of_eigenvalues(np.linalg.eigvalsh(op.matrix))
+    """Von Neumann entropy (natural log) of a density operator on X:
+    |X| log d minus its deficit (``_deficit``)."""
+    return len(op.support) * math.log(op.local_dim) - _deficit(op)
 
 
 def reduced_density(st: ExactGibbs, region) -> SupportedOperator:
@@ -214,16 +211,17 @@ def reduced_density(st: ExactGibbs, region) -> SupportedOperator:
     return partial_trace(st.rho, region)
 
 
-def _entropy_deficit(st: ExactGibbs, region) -> float:
-    """|X| log d - S(X) = D^-1 sum_i [(1 + e_i) log1p(e_i) - e_i], with
-    D = d^|X| and e_i the eigenvalues of D rho_X / tr rho_X - I.
+def _deficit(op: SupportedOperator) -> float:
+    """|X| log d - S(X) of the density operator ``op`` on X:
+    D^-1 sum_i [(1 + e_i) log1p(e_i) - e_i], with D = d^|X| and e_i the
+    eigenvalues of D rho / tr rho - I; 0 when X is empty.
 
     Every summand is >= 0 and O(e_i^2), so a deficit near 0 keeps its
     relative precision where S(X) itself, of size |X| log d, would not.
     """
-    if not region:
+    if not op.support:
         return 0.0
-    rho = reduced_density(st, region).matrix
+    rho = op.matrix
     dim = rho.shape[0]
     dev = rho * (dim / np.trace(rho).real)
     dev.flat[:: dim + 1] -= 1.0
@@ -240,17 +238,19 @@ def exact_cmi(st: ExactGibbs, a_region, b_region, c_region) -> float:
     """S(AB) + S(BC) - S(ABC) - S(B); with B empty this is the mutual
     information between A and C.
 
-    Combined from entropy deficits (``_entropy_deficit``) rather than from
-    the entropies: the |X| log d parts cancel exactly, leaving
+    Combined from entropy deficits (``_deficit``) rather than from the
+    entropies: the |X| log d parts cancel exactly, leaving
     delta(ABC) + delta(B) - delta(AB) - delta(BC), so a CMI near 0 is not
-    the difference of O(|X| log d) numbers.
+    the difference of O(|X| log d) numbers.  The full state is traced once,
+    to A u B u C, and the other three marginals are traced from that one.
     """
     a, b, c = st.hamiltonian.graph.check_regions(a_region, b_region, c_region)
+    abc = reduced_density(st, a + b + c)
     return (
-        _entropy_deficit(st, a + b + c)
-        + _entropy_deficit(st, b)
-        - _entropy_deficit(st, a + b)
-        - _entropy_deficit(st, b + c)
+        _deficit(abc)
+        + _deficit(partial_trace(abc, b))
+        - _deficit(partial_trace(abc, a + b))
+        - _deficit(partial_trace(abc, b + c))
     )
 
 

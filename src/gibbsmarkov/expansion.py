@@ -291,9 +291,7 @@ def effective_hamiltonian(
 def _complement_log_z_ed(ham: Hamiltonian, comp) -> float:
     """log tr e^{-beta H_comp} where H_comp keeps only terms inside the
     sorted vertex tuple comp."""
-    cset = set(comp)
-    inside = [t for t in ham.terms if set(t.support) <= cset]
-    w = np.linalg.eigvalsh(sum_embedded(((1.0, t) for t in inside), comp, ham.local_dim))
+    w = np.linalg.eigvalsh(ed.hamiltonian_matrix(ham, comp).matrix)
     shifted = -ham.beta * (w - w[0])
     return float(np.log(np.exp(shifted).sum()) - ham.beta * w[0])
 

@@ -2,7 +2,8 @@
 
 Every operator carries the sorted list of vertex ids it acts on.  The qudit
 ordering inside a matrix is always ascending vertex id; all embeddings and
-permutations derive from that single rule.
+permutations derive from that single rule, in :func:`add_embedded`,
+:func:`trace_out` and :func:`embedded_product`, whose plans are cached.
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ class PositivityError(OperatorError):
 
 def _vertex_ids(vertices) -> tuple[int, ...]:
     """``vertices`` as a tuple of ints; refuses, with OperatorError, an id
-    that is not an integer (``operator.index`` refuses it)."""
+    that is not an integer (``operator.index`` refuses it) or is a bool,
+    which it would read as 0 or 1."""
+    ids = tuple(vertices)
     try:
-        return tuple(map(operator.index, vertices))
+        if not any(isinstance(v, bool) for v in ids):
+            return tuple(map(operator.index, ids))
     except TypeError:
-        raise OperatorError(f"vertex ids must be integers, got {vertices!r}") from None
+        pass
+    raise OperatorError(f"vertex ids must be integers, got {vertices!r}")
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -200,6 +205,48 @@ def trace_out(mat: np.ndarray, keep, n_sites: int, d: int) -> np.ndarray:
     lead = mat.shape[:-2]
     traced = np.einsum(mat.reshape(lead + (d,) * (2 * n_sites)), labels, out)
     return traced.reshape(lead + (d ** len(keep),) * 2)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _product_axes(a_positions: tuple, b_positions: tuple):
+    """How :func:`embedded_product` lays out one pair of position tuples:
+    the axis order of each factor, the number of shared qudits, and the
+    axis order of the result."""
+    u, k = len(a_positions), len(b_positions)
+    shared = [i for i, p in enumerate(a_positions) if p in b_positions]
+    rest = [i for i, p in enumerate(a_positions) if p not in b_positions]
+    new = [i for i, p in enumerate(b_positions) if p not in a_positions]
+    # a as (rows, columns off b | columns shared); b as (rows shared | rows
+    # of its new qudits, columns)
+    a_axes = list(range(u)) + [u + i for i in rest] + [u + i for i in shared]
+    b_axes = [b_positions.index(a_positions[i]) for i in shared] + new + list(range(k, 2 * k))
+    rows = {p: i for i, p in enumerate(a_positions)}
+    rows.update({b_positions[i]: u + len(rest) + j for j, i in enumerate(new)})
+    cols = {a_positions[i]: u + j for j, i in enumerate(rest)}
+    cols.update({p: u + len(rest) + len(new) + i for i, p in enumerate(b_positions)})
+    out_axes = [rows[p] for p in range(len(rows))] + [cols[p] for p in range(len(rows))]
+    return a_axes, b_axes, len(shared), out_axes
+
+
+def embedded_product(a: np.ndarray, a_positions, b: np.ndarray, b_positions,
+                     n_sites: int, d: int) -> np.ndarray:
+    """(a (x) I) (b (x) I) on ``n_sites`` qudits, ordered 0..n_sites-1:
+    ``a`` acts on the qudits listed in ``a_positions`` and ``b`` on those in
+    ``b_positions``, each in the order given, and together they list every
+    qudit.
+
+    Only the qudits that a and b share are summed over, in one matrix
+    product: for a k-local b on n qudits that costs d^(2n + k), not the
+    d^(3n) of a dense product, and no identity is ever formed.  With
+    disjoint positions it is the tensor product a (x) b, up to the order of
+    the qudits."""
+    a_positions, b_positions = tuple(a_positions), tuple(b_positions)
+    a_axes, b_axes, n_shared, out_axes = _product_axes(a_positions, b_positions)
+    left = a.reshape((d,) * (2 * len(a_positions))).transpose(a_axes)
+    right = b.reshape((d,) * (2 * len(b_positions))).transpose(b_axes)
+    out = left.reshape(-1, d ** n_shared) @ right.reshape(d ** n_shared, -1)
+    out = out.reshape((d,) * (2 * n_sites)).transpose(out_axes)
+    return out.reshape(d ** n_sites, -1)
 
 
 def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:

@@ -11,7 +11,7 @@ import pytest
 
 import gibbsmarkov
 
-from gibbsmarkov.bounds import critical_beta
+from gibbsmarkov.bounds import critical_beta, recovery_error_bound
 from gibbsmarkov.cli import main
 from gibbsmarkov.expansion import effective_hamiltonian
 from gibbsmarkov.random_models import random_chain, tfi_chain
@@ -162,6 +162,26 @@ class TestSubcommands:
             assert payload["ed_cmi_floor"] == pytest.approx(floor, rel=1e-15)
             assert (payload["ed_cmi"] < floor) is below
             assert ("below the ED round-off floor" in out) is below
+
+    def test_cmi_recovery_bound_reads_no_less_than_the_floor(self, capsys, model_file, tmp_path):
+        # B two sites wide: the series estimate and the ED CMI are both
+        # round-off, both are marked, and the bound is the floor's; B empty:
+        # neither is marked, and the bound is the ED mutual information's
+        out_file = tmp_path / "cmi.json"
+        for (a, b, c), below in [(("0", "1,2", "3,4,5"), True), (("0", "", "1"), False)]:
+            rc, out = run(capsys, [
+                "cmi", "--model", model_file, "--A", a, "--B", b, "--C", c,
+                "--order", "2", "--out", str(out_file),
+            ])
+            assert rc == 0
+            payload = json.loads(out_file.read_text())
+            floor, exact = payload["ed_cmi_floor"], payload["ed_cmi"]
+            assert (payload["cmi_estimate"] < floor) is below
+            estimate = next(line for line in out.splitlines() if line.startswith("tr(rho H)"))
+            estimate = estimate.split("ED exact CMI")[0]
+            assert ("below the ED round-off floor" in estimate) is below
+            bound = recovery_error_bound(floor if below else exact)
+            assert f"recovery error bound from max(ED CMI, floor): {bound:.6e}" in out
 
     def test_bound_without_model(self, capsys):
         rc, out = run(capsys, [

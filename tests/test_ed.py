@@ -66,13 +66,15 @@ def qutrit_chain(n, beta, seed, norm=0.3):
     return build_hamiltonian(g, terms, FiniteRange(1), beta=beta)
 
 
-def embed_sum(ham):
-    """The dense Hamiltonian as the sum of each term embedded on its own."""
-    support = tuple(range(ham.graph.vertex_count))
+def embed_sum(ham, sites=None):
+    """The dense sum of the terms inside ``sites``, every vertex by default,
+    each term embedded on its own."""
+    support = tuple(range(ham.graph.vertex_count)) if sites is None else sites
     dim = ham.local_dim ** len(support)
     total = np.zeros((dim, dim), dtype=complex)
     for term in ham.terms:
-        total += embed(term.as_operator(ham.local_dim), support).matrix
+        if set(term.support) <= set(support):
+            total += embed(term.as_operator(ham.local_dim), support).matrix
     return total
 
 
@@ -145,12 +147,33 @@ class TestHamiltonianMatrix:
     ])
     def test_bitwise_equal_to_embedded_sum(self, ham):
         assert np.array_equal(ed.hamiltonian_matrix(ham).matrix, embed_sum(ham))
+        # on a vertex subset, with a gap: only the terms inside it
+        sites = (0, 1, 3, 4, 5)
+        got = ed.hamiltonian_matrix(ham, sites)
+        assert got.support == sites
+        assert np.array_equal(got.matrix, embed_sum(ham, sites))
 
 
 class TestEntropiesAndCmi:
     def test_empty_region_entropy_is_zero(self):
         st = ed.exact_gibbs(free_ham(3))
         assert ed.entropy(ed.reduced_density(st, ())) == 0.0
+
+    def test_pure_and_maximally_mixed_states(self, rng):
+        # a diagonal pure state has entropy exactly 0 and I/2^n exactly
+        # n ln 2; a random pure state has entropy at round-off, where
+        # clipping its zero eigenvalues at 1e-15 added 1.0e-13
+        for n in (1, 2, 3):
+            support = tuple(range(n))
+            pure = np.zeros((2 ** n, 2 ** n))
+            pure[-1, -1] = 1.0
+            assert ed.entropy(SupportedOperator(support, pure)) == 0.0
+            mixed = np.eye(2 ** n) / 2 ** n
+            assert ed.entropy(SupportedOperator(support, mixed)) == n * math.log(2)
+        for _ in range(20):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v /= np.linalg.norm(v)
+            assert abs(ed.entropy(SupportedOperator((0, 1), np.outer(v, v.conj())))) <= 3e-14
 
     def test_ground_state_mixture_mutual_information(self):
         # deep in the ferromagnetic phase the state is (|000><000| + |111><111|)/2:

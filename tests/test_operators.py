@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gibbsmarkov.operators import (
     add_embedded,
     embed,
     embed_matrix,
+    embedded_product,
     expm_hermitian,
     logm_posdef,
     operator_norm,
@@ -122,6 +125,32 @@ class TestAddEmbedded:
             assert np.array_equal(target, expected)
 
 
+def covering_position_pairs(n_sites):
+    """Every pair of position tuples whose union is 0..n_sites-1:
+    overlapping, nested, disjoint and empty ones alike, each tuple in
+    ascending and in descending order."""
+    tuples = {
+        order for k in range(n_sites + 1)
+        for subset in combinations(range(n_sites), k) for order in (subset, subset[::-1])
+    }
+    tuples = sorted(tuples, key=lambda t: (len(t), t))
+    return [(a, b) for a in tuples for b in tuples if set(a) | set(b) == set(range(n_sites))]
+
+
+class TestEmbeddedProduct:
+    @pytest.mark.parametrize("n_sites", [0, 1, 2, 3, 4])
+    def test_equals_the_product_of_the_embeddings(self, rng, n_sites):
+        pairs = covering_position_pairs(n_sites)
+        for d in (2, 3):
+            for a_pos, b_pos in pairs:
+                a = random_complex(rng, d ** len(a_pos))
+                b = random_complex(rng, d ** len(b_pos))
+                want = embed_matrix(a, a_pos, n_sites, d) @ embed_matrix(b, b_pos, n_sites, d)
+                got = embedded_product(a, a_pos, b, b_pos, n_sites, d)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
         rho_a = random_hermitian(rng, 2)
@@ -179,6 +208,16 @@ class TestVertexIds:
         lambda: partial_trace(op((0, 1), np.eye(4)), (0.5,)),
     ], ids=["SupportedOperator", "embed", "partial_trace"])
     def test_a_float_is_refused(self, call):
+        with pytest.raises(OperatorError, match="vertex ids must be integers"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: SupportedOperator((True,), PAULI["Z"]),
+        lambda: embed(op((0,), PAULI["Z"]), (0, True)),
+        lambda: partial_trace(op((0, 1), np.eye(4)), (True,)),
+    ], ids=["SupportedOperator", "embed", "partial_trace"])
+    def test_a_bool_is_refused(self, call):
+        # operator.index reads True as 1
         with pytest.raises(OperatorError, match="vertex ids must be integers"):
             call()
 
