@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .spin_model import Hamiltonian, PowerLaw, SpinGraph, ValidationError, check_beta, g_tilde
+from .spin_model import Hamiltonian, PowerLaw, SpinGraph, ValidationError, check_beta, check_integer, g_tilde
 from . import ed
 
 
@@ -32,7 +32,7 @@ class BoundReport:
 def critical_beta(k: int) -> float:
     """Inverse-temperature threshold 1/(8 e^3 k) below which all expansion
     certificates are rigorous.  A k below 1 raises ``ValidationError``."""
-    _require(k >= 1, f"k must be >= 1, got {k}")
+    k = check_integer(k, "k", 1)
     return 1.0 / (8.0 * math.e ** 3 * k)
 
 
@@ -48,8 +48,7 @@ def surface_region(graph: SpinGraph, region, l: int) -> tuple[int, ...]:
 
     The whole vertex set has no complement; its surface is defined empty.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    l = check_integer(l, "l", 0)
     (region,) = graph.check_regions(region)
     rset = set(region)
     comp = [v for v in range(graph.vertex_count) if v not in rset]
@@ -71,9 +70,9 @@ def finite_range_cmi_bound(
     ``ValidationError``.
     """
     check_beta(beta)
-    _require(min_surface >= 0, f"min_surface must be >= 0, got {min_surface}")
+    min_surface = check_integer(min_surface, "min_surface", 0)
+    r = check_integer(r, "r", 1)
     _require(d_ac >= 0, f"d_ac must be >= 0, got {d_ac}")
-    _require(r >= 1, f"r must be >= 1, got {r}")
     inputs = {
         "min_surface": min_surface,
         "beta": beta,
@@ -107,7 +106,7 @@ def power_law_cmi_bound(
     ``ValidationError``.
     """
     check_beta(beta)
-    _require(min_ac >= 0, f"min_ac must be >= 0, got {min_ac}")
+    min_ac = check_integer(min_ac, "min_ac", 0)
     _require(d_ac >= 0, f"d_ac must be >= 0, got {d_ac}")
     _require(alpha > 0, f"alpha must be > 0, got {alpha}")
     beta_c = critical_beta(k)
@@ -186,8 +185,8 @@ def tail_sum_check(ham: Hamiltonian, m: int, l0: int) -> tuple[float, float, boo
     Returns (measured, bound, hypothesis_ok) where hypothesis_ok records
     l0 >= 2*alpha (finite-range inputs are always within hypothesis).
     """
-    if m < 1 or l0 < 1:
-        raise ValueError("m and l0 must be >= 1")
+    m = check_integer(m, "m", 1)
+    l0 = check_integer(l0, "l0", 1)
     n = ham.graph.vertex_count
     profile = [0.0] + [g_tilde(ham, l) for l in range(1, n + 1)]
 

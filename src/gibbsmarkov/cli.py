@@ -37,7 +37,7 @@ from .expansion import (
     reduced_state,
     truncation_certificate,
 )
-from .spin_model import ModelError, load_model, pauli_string
+from .spin_model import ModelError, check_integer, load_model, pauli_string
 from .operators import SupportedOperator
 from .verify import SUITES, run_suite
 
@@ -66,8 +66,8 @@ def _pick_order(ham, args) -> int:
     """--order, else the smallest order whose certificate on --region is
     <= n*epsilon, else the subcommand's default."""
     order, epsilon = args.order, getattr(args, "epsilon", None)
-    if order is not None and order < 0:
-        raise ModelError(f"--order must be >= 0, got {order}")
+    if order is not None:
+        order = check_integer(order, "--order", 0)
     if epsilon is not None and not epsilon > 0:
         raise ModelError(f"--epsilon must be > 0, got {epsilon}")
     if order is not None or epsilon is None:
@@ -112,13 +112,12 @@ def _run(args, ham, lines, payload: dict) -> None:
 
 
 def cmd_clusters(args, ham) -> int:
-    if args.max_order < 0:
-        raise ModelError(f"--max-order must be >= 0, got {args.max_order}")
+    max_order = check_integer(args.max_order, "--max-order", 0)
     anchor = _vertex_list(args.anchor, ham)
     comp = set(range(ham.graph.vertex_count)).difference(anchor)
     rows = []
     lines = [f"{'m':>3} {'count':>10} {'bound':>14}"]
-    for m in range(1, args.max_order + 1):
+    for m in range(1, max_order + 1):
         # the clusters that touch the complement, which the bound counts:
         # the boundary clusters of effham on the same region
         clusters = enumerate_connected_to_region(ham, anchor, m)
@@ -199,8 +198,6 @@ def cmd_reduced(args, ham) -> int:
 def cmd_observable(args, ham) -> int:
     support, letters, mat = pauli_string(_ids(args.support), args.pauli.upper(), ham.local_dim)
     obs = SupportedOperator(support, args.coeff * mat, local_dim=ham.local_dim)
-    if args.pad < 0:
-        raise ModelError(f"--pad must be >= 0, got {args.pad}")
     order = _pick_order(ham, args)
     value, cert, valid = local_observable(ham, obs, order, pad=args.pad)
     lines = [

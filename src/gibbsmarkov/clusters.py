@@ -5,9 +5,10 @@ multiplicity n_w counts the ordered sequences realizing the multiset.
 Every enumerator runs one grower, ``_grow``, whose cost scales with the
 clusters it emits; the scalar series grows connected site sets instead
 (``_site_sets``).  The predicates ``is_connected``, ``is_connected_to``
-and ``links_regions`` decide connectivity on the intersection graph of
-the supports, with anchor regions attached as virtual nodes; they are the
-independent reference for the enumerators.
+and ``links_regions`` are the independent reference for the enumerators.
+They split the supports into connected components with one splitter,
+``_split``, an anchor region joining as one more site set; the moment
+table of ``derivatives`` splits its sub-multisets with it too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .spin_model import Hamiltonian, ValidationError, check_integer
+from .spin_model import Hamiltonian, check_integer
 
 
 @dataclass(frozen=True)
@@ -47,66 +48,46 @@ class Cluster:
 
 
 def make_cluster(ham: Hamiltonian, term_indices) -> Cluster:
-    idx = tuple(sorted(check_integer(i, "term index") for i in term_indices))
+    idx = tuple(sorted(check_integer(i, "term index", 0) for i in term_indices))
     support = set()
     for i in idx:
         support.update(ham.terms[i].support)
     return Cluster(idx, tuple(sorted(support)))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _split(site_sets) -> list[tuple[set[int], list[int]]]:
+    """The connected components of a sequence of site sets, two sets joined
+    when they share a site: for each component, the union of its sets and
+    their positions in ``site_sets``, ascending.  No set gives no
+    component, and an empty set is a component of its own."""
+    parts: list = []  # pairwise disjoint in sites
+    for pos, sites in enumerate(site_sets):
+        sites, positions = set(sites), [pos]
+        apart = []
+        for part in parts:
+            if part[0] & sites:
+                sites |= part[0]
+                positions += part[1]
+            else:
+                apart.append(part)
+        parts = apart + [(sites, positions)]
+    return [(sites, sorted(positions)) for sites, positions in parts]
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _components(ham: Hamiltonian, cluster: Cluster, anchors=()) -> _UnionFind:
-    """Union-find over cluster elements plus optional anchor vertex sets.
-
-    Anchor i is node size+i; an element is joined to an anchor when its
-    support intersects the anchor set.
-    """
-    m = cluster.size
-    uf = _UnionFind(m + len(anchors))
-    supports = [set(ham.terms[i].support) for i in cluster.term_indices]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if supports[a] & supports[b]:
-                uf.union(a, b)
-    for j, anchor in enumerate(anchors):
-        aset = set(anchor)
-        for a in range(m):
-            if supports[a] & aset:
-                uf.union(a, m + j)
-    return uf
+def _supports(ham: Hamiltonian, cluster: Cluster) -> list[tuple[int, ...]]:
+    return [ham.terms[i].support for i in cluster.term_indices]
 
 
 def is_connected(ham: Hamiltonian, cluster: Cluster) -> bool:
-    """No split w = w1 + w2 with disjoint supports exists."""
-    if cluster.size == 0:
-        return False
-    uf = _components(ham, cluster)
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(cluster.size))
+    """No split w = w1 + w2 with disjoint supports exists (and w is not
+    empty)."""
+    return len(_split(_supports(ham, cluster))) == 1
 
 
 def is_connected_to(ham: Hamiltonian, cluster: Cluster, region) -> bool:
-    """No split w = w1 + w2 with (region u V_w1) disjoint from V_w2 exists."""
-    if cluster.size == 0:
-        return True
-    uf = _components(ham, cluster, anchors=(region,))
-    anchor = uf.find(cluster.size)
-    return all(uf.find(i) == anchor for i in range(cluster.size))
+    """No split w = w1 + w2 with (region u V_w1) disjoint from V_w2 exists:
+    the region, as one more site set, joins every element."""
+    return len(_split(_supports(ham, cluster) + [region])) == 1
 
 
 def links_regions(ham: Hamiltonian, cluster: Cluster, a_region, b_region) -> bool:
@@ -114,19 +95,8 @@ def links_regions(ham: Hamiltonian, cluster: Cluster, a_region, b_region) -> boo
 
     For a connected cluster this is equivalent to touching both regions.
     """
-    if not is_connected(ham, cluster):
-        return False
-    a_set, b_set = set(a_region), set(b_region)
-    sup = set(cluster.support)
-    return bool(sup & a_set) and bool(sup & b_set)
-
-
-def _check_size(m) -> int:
-    """A cluster size as an int, refused with ValidationError below 1."""
-    m = check_integer(m, "cluster size")
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    return m
+    parts = _split(_supports(ham, cluster))
+    return len(parts) == 1 and all(parts[0][0].intersection(r) for r in (a_region, b_region))
 
 
 def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=()) -> list[Cluster]:
@@ -145,7 +115,7 @@ def _grow(ham: Hamiltonian, m: int, seeds=None, anchor=()) -> list[Cluster]:
     the terms a level reaches are found once per distinct V_w u anchor and
     each emitted cluster's support is read off its mask.
     """
-    m = _check_size(m)
+    m = check_integer(m, "cluster size", 1)
     terms = ham.terms
     masks, touching = _term_index(ham, range(ham.graph.vertex_count))
     anchor_mask = sum(1 << v for v in set(anchor))
@@ -232,7 +202,7 @@ def enumerate_connected(ham: Hamiltonian, m: int):
 def enumerate_linking(ham: Hamiltonian, a_region, c_region, m: int):
     """Stream the connected size-m clusters with a support path from A to C:
     those grown from the terms meeting A that also meet C."""
-    m = _check_size(m)
+    m = check_integer(m, "cluster size", 1)
     a_region, c_region = ham.graph.check_regions(a_region, c_region)
     max_diam = max([t.diameter for t in ham.terms] + [1.0])
     if m * max_diam < ham.graph.distance(a_region, c_region):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .operators import SupportedOperator, add_embedded, embed_matrix, embedded_product, trace_out
 from .spin_model import Hamiltonian
-from .clusters import Cluster, overlap_counts
+from .clusters import Cluster, _split, overlap_counts
 
 
 class MomentTable:
@@ -84,7 +84,8 @@ class MomentTable:
     table and a private one give bitwise equal derivatives.
 
     Besides the entries, the table holds what does not change between
-    clusters: V_alpha and the components of each alpha, computed once; the
+    clusters: V_alpha and the components of each alpha, computed once by
+    the splitter of the connectivity predicates (``clusters._split``); the
     recorded cluster and its held product; and the block matrix of
     :func:`cluster_derivative`'s log step, one per cluster size and kept
     dimension.  The last two make a table serve one thread at a time.  All
@@ -111,21 +112,14 @@ class MomentTable:
         hit = self._shapes.get(alpha)
         if hit is not None:
             return hit
-        terms = self.ham.terms
-        parts: list = []  # (sites, elements), pairwise disjoint in sites
-        for i in alpha:
-            sites, elements = set(terms[i].support), [i]
-            apart = []
-            for part in parts:
-                if part[0] & sites:
-                    sites |= part[0]
-                    elements = part[1] + elements
-                else:
-                    apart.append(part)
-            parts = apart + [(sites, elements)]
+        parts = _split([self.ham.terms[i].support for i in alpha])
         support = tuple(sorted(set().union(*(sites for sites, _ in parts))))
         support = self._supports.setdefault(support, support)
-        components = tuple(sorted(tuple(sorted(e)) for _, e in parts)) if len(parts) > 1 else ()
+        # alpha is sorted, so each component's elements come out sorted
+        components = (
+            tuple(sorted(tuple(alpha[p] for p in positions) for _, positions in parts))
+            if len(parts) > 1 else ()
+        )
         hit = self._shapes[alpha] = support, components
         return hit
 

@@ -32,7 +32,7 @@ from .operators import (
     partial_trace,
     sum_embedded,
 )
-from .spin_model import Hamiltonian
+from .spin_model import Hamiltonian, check_integer
 
 DEFAULT_ED_LIMIT = 12
 
@@ -179,7 +179,7 @@ def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
     array from 9 qubits on.
     """
     n = ham.graph.vertex_count
-    if n > limit:
+    if n > check_integer(limit, "limit"):
         raise EDLimitError(f"{n} sites exceeds the dense-diagonalization limit {limit}")
     x = ham.beta * sum(t.norm for t in ham.terms)
     s, k = _taylor_plan(x)

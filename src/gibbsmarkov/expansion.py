@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, sum_embedded
-from .spin_model import FiniteRange, Hamiltonian, ModelError, ValidationError, check_integer
+from .spin_model import FiniteRange, Hamiltonian, ModelError, check_integer
 from .clusters import _bits, _site_sets, enumerate_connected_to_region, enumerate_linking
 from .derivatives import MomentTable, cluster_derivative, cmi_cluster_term
 from .bounds import critical_beta, surface_region
@@ -106,6 +106,7 @@ def truncation_certificate(ham: Hamiltonian, region, order: int) -> tuple[float,
     """Operator-norm ceiling on the boundary terms dropped beyond the given
     order: (e/(4 beta)) * x^(order+1)/(1-x) * |surface(L, r)| with
     x = beta/beta_c.  Rigorous only below the threshold temperature."""
+    order = check_integer(order, "order", 0)
     beta_c = critical_beta(ham.k)
     x = ham.beta / beta_c
     surf = len(surface_region(ham.graph, region, ham.range_r))
@@ -113,14 +114,6 @@ def truncation_certificate(ham: Hamiltonian, region, order: int) -> tuple[float,
         value = (math.e / (4.0 * ham.beta)) * x ** (order + 1) / (1.0 - x) * surf
         return value, True
     return math.inf, False
-
-
-def _check_order(order: int) -> int:
-    """An expansion order as an int, refused with ValidationError below 0."""
-    order = check_integer(order, "order")
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
-    return order
 
 
 def _complement(ham: Hamiltonian, region) -> tuple[int, ...]:
@@ -252,7 +245,8 @@ def effective_hamiltonian(
     Normalized results (reduced states, observables, entropies) cancel it
     and never compute it.
     """
-    order = _check_order(order)
+    order = check_integer(order, "order", 0)
+    ed_limit = check_integer(ed_limit, "ed_limit")
     if not isinstance(ham.interaction_class, FiniteRange):
         raise ModelError("effective-Hamiltonian assembly requires a finite-range model")
     (region,) = ham.graph.check_regions(region)
@@ -299,6 +293,7 @@ def _complement_log_z_ed(ham: Hamiltonian, comp) -> float:
 def log_z_certificate(ham: Hamiltonian, order: int) -> tuple[float, bool]:
     """Ceiling on |log Z - truncated series|: the geometric tail
     (e/4) * x^(order+1)/(1-x) summed over all vertices."""
+    order = check_integer(order, "order", 0)
     beta_c = critical_beta(ham.k)
     x = ham.beta / beta_c
     n = ham.graph.vertex_count
@@ -312,7 +307,7 @@ def log_partition_function(ham: Hamiltonian, order: int) -> tuple[float, float, 
 
     Returns (value, certificate, certificate_valid).
     """
-    order = _check_order(order)
+    order = check_integer(order, "order", 0)
     n = ham.graph.vertex_count
     value = _scalar_series(ham, range(n), order)
     cert, valid = log_z_certificate(ham, order)
@@ -354,6 +349,7 @@ def local_observable(
     Returns (value, error_certificate, certificate_valid); the certificate is
     ||obs|| times the trace-distance guarantee of the reduced state.
     """
+    pad = check_integer(pad, "pad", 0)
     (support,) = ham.graph.check_regions(obs.support)
     region = set(support)
     if pad > 0:
@@ -427,7 +423,7 @@ def cmi_expansion(
     tr(rho H) equals the CMI when the full state rho is supplied; the
     operator norm always upper-bounds the full-series CMI contribution."""
     a, b, c = ham.graph.check_regions(a_region, b_region, c_region)
-    order = _check_order(order)
+    order = check_integer(order, "order", 0)
     target = tuple(sorted(a + b + c))
     d = ham.local_dim
     acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)
@@ -453,6 +449,7 @@ def cmi_expansion(
 def cmi_order_norm_bound(ham: Hamiltonian, a_region, c_region, m: int) -> float:
     """Closed-form ceiling on the order-m norm sum of the CMI expansion:
     e * min(|dA_r|, |dC_r|) * (beta/beta_c)^m."""
+    m = check_integer(m, "cluster size", 1)
     a_region, c_region = ham.graph.check_regions(a_region, c_region)
     beta_c = critical_beta(ham.k)
     r = ham.range_r

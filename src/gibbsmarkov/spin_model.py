@@ -71,13 +71,19 @@ class SpinGraph:
     def check_regions(self, *regions) -> tuple[tuple[int, ...], ...]:
         """The ``regions`` as sorted, duplicate-free tuples of vertex ids.
 
-        Refuses, with ValidationError, a vertex id that is not an integer
-        (``operator.index`` refuses it) or lies outside 0..n-1 in any of
-        them, or a vertex that two of them share.
+        Refuses, with ValidationError, a region that is not a collection,
+        a vertex id that is not an integer (``operator.index`` refuses it)
+        or lies outside 0..n-1 in any of them, or a vertex that two of them
+        share.
         """
         seen: set[int] = set()
         out = []
         for region in regions:
+            try:
+                region = list(region)
+            except TypeError:
+                message = f"region {region!r} is not a collection of vertex ids"
+                raise ValidationError(message) from None
             region = set(map(_vertex_id, region))
             outside = {v for v in region if not 0 <= v < self.vertex_count}
             if outside:
@@ -100,16 +106,22 @@ class SpinGraph:
         return float(max(self.dist[u, v] for u in support for v in support))
 
 
-def check_integer(value, what: str) -> int:
+def check_integer(value, what: str, minimum: int | None = None) -> int:
     """``value`` as an int, by ``operator.index``: a numpy integer passes,
     and a float, a string or a bool is refused with ValidationError rather
-    than truncated, parsed or read as 0 or 1."""
+    than truncated, parsed or read as 0 or 1.  So is a value below
+    ``minimum``, when one is given.  Every integer input of the package is
+    checked here, but for the vertex ids of ``operators``, which this
+    module imports and which so keeps its own check."""
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
     except TypeError:
-        pass
-    raise ValidationError(f"{what} {value!r} is not an integer")
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
+    if minimum is not None and number < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {number}")
+    return number
 
 
 def _model_number(value, what: str) -> float:
@@ -125,12 +137,8 @@ def _vertex_id(v) -> int:
 
 
 def build_graph(vertex_count: int, edges, local_dim: int = 2) -> SpinGraph:
-    vertex_count = check_integer(vertex_count, "vertex_count")
-    local_dim = check_integer(local_dim, "local_dim")
-    if vertex_count < 1:
-        raise ModelError("vertex_count must be positive")
-    if local_dim < 2:
-        raise ModelError("local_dim must be at least 2")
+    vertex_count = check_integer(vertex_count, "vertex_count", 1)
+    local_dim = check_integer(local_dim, "local_dim", 2)
     canon = set()
     adj = [[] for _ in range(vertex_count)]
     for e in edges:
@@ -246,8 +254,7 @@ def build_hamiltonian(graph: SpinGraph, terms, interaction_class, beta: float,
     k = max((len(t.support) for t in built), default=1)
 
     if isinstance(interaction_class, FiniteRange):
-        if check_integer(interaction_class.r, "finite range r") < 1:
-            raise ValidationError("finite range r must be >= 1")
+        check_integer(interaction_class.r, "finite range r", 1)
         for t in built:
             if t.diameter > interaction_class.r:
                 raise ValidationError(
@@ -319,8 +326,7 @@ def locality_profile(ham: Hamiltonian) -> dict[int, list[tuple[int, float]]]:
 
 def g_tilde(ham: Hamiltonian, l: int) -> float:
     """Max over vertices of the total norm of diameter-l terms at that vertex."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    l = check_integer(l, "l", 1)
     best = 0.0
     for v in range(ham.graph.vertex_count):
         s = sum(t.norm for t in ham.terms if v in t.support and t.diameter == l)

@@ -31,7 +31,7 @@ from .derivatives import cluster_derivative
 from .expansion import effective_hamiltonian, log_partition_function
 from .operators import embed
 from .random_models import power_law_chain, random_chain, random_grid
-from .spin_model import ValidationError
+from .spin_model import check_integer
 
 SUITES = ("derivatives", "certificates", "counting", "bounds", "longrange")
 
@@ -225,8 +225,9 @@ def suite_bounds(seed: int) -> tuple[bool, str]:
             value = ed.exact_cmi(st, a, b, c)
             rep = cmi_decay_bound(ham, a, c)
             d_ac = rep.inputs["d_ac"]
+            mark = _roundoff_mark(value, len(a + b + c))
             lines.append(
-                f"case={case} dAC={d_ac} cmi={_fmt(value)} bound={_fmt(rep.value)}"
+                f"case={case} dAC={d_ac} cmi={_fmt(value)} bound={_fmt(rep.value)}{mark}"
             )
             if rep.valid and value > rep.value + 1e-9:
                 failures.append(f"cmi bound case={case} dAC={d_ac}")
@@ -235,10 +236,17 @@ def suite_bounds(seed: int) -> tuple[bool, str]:
         ob = ed.SupportedOperator((5,), _random_unit_obs(rng), local_dim=2)
         cor = ed.operator_correlation(st, oa, ob)
         mi = ed.exact_cmi(st, (0,), (), (5,))
-        lines.append(f"case={case} cor2={_fmt(cor * cor)} 2mi={_fmt(2 * mi)}")
+        mark = _roundoff_mark(mi, 2)
+        lines.append(f"case={case} cor2={_fmt(cor * cor)} 2mi={_fmt(2 * mi)}{mark}")
         if cor * cor > 2 * mi + 1e-9:
             failures.append(f"correlation inequality case={case}")
     return _report(lines, failures)
+
+
+def _roundoff_mark(cmi: float, n_sites: int) -> str:
+    """The mark the ``cmi`` subcommand prints after a qubit ED CMI on
+    n_sites sites that is below its round-off floor; empty above it."""
+    return "  (below the ED round-off floor)" if cmi < ed.exact_cmi_floor(2, n_sites) else ""
 
 
 def _random_unit_obs(rng) -> np.ndarray:
@@ -287,6 +295,4 @@ def run_suite(name: str, seed: int) -> tuple[bool, str]:
     }
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return table[name](seed)
+    return table[name](check_integer(seed, "seed", 0))

@@ -1,6 +1,7 @@
 """Arithmetic and soundness checks for the closed-form bound evaluators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gibbsmarkov.bounds import (
     tail_sum_check,
 )
 from gibbsmarkov.random_models import power_law_chain, random_chain
+from gibbsmarkov.verify import run_suite
 from gibbsmarkov.spin_model import (
     FiniteRange,
     PAULI,
@@ -68,6 +70,13 @@ class TestSurfaceRegion:
     def test_rejects_negative_width(self):
         with pytest.raises(ValueError):
             surface_region(self.grid(), (0,), -1)
+
+    @pytest.mark.parametrize("l, message", [
+        (-1, "l must be >= 0, got -1"), (1.0, "l 1.0 is not an integer"),
+    ], ids=["negative", "float"])
+    def test_width_is_an_integer_with_a_floor(self, l, message):
+        with pytest.raises(ValidationError, match=message):
+            surface_region(self.grid(), (0,), l)
 
 
 class TestFiniteRangeBound:
@@ -231,3 +240,30 @@ class TestTailSums:
             tail_sum_check(ham, 0, 1)
         with pytest.raises(ValueError):
             tail_sum_check(ham, 1, 0)
+
+    @pytest.mark.parametrize("m, l0, message", [
+        (0, 1, "m must be >= 1, got 0"), (1, 0, "l0 must be >= 1, got 0"),
+        (1.5, 1, "m 1.5 is not an integer"), (1, "3", "l0 '3' is not an integer"),
+    ], ids=["m-zero", "l0-zero", "m-float", "l0-string"])
+    def test_arguments_are_integers_with_a_floor(self, m, l0, message):
+        ham = random_chain(4, beta=0.5 * critical_beta(2), seed=71)
+        with pytest.raises(ValidationError, match=message):
+            tail_sum_check(ham, m, l0)
+
+
+class TestVerifyBoundsSuite:
+    def test_marks_each_ed_value_below_its_round_off_floor(self):
+        ok, report = run_suite("bounds", 0)
+        assert ok, report
+        # cmi= lines are on |A u B u C| = 6 qubits, 2mi= lines on 2
+        rows = [
+            (line, float(re.search(r" cmi=(\S+)", line)[1]), 6) if " cmi=" in line
+            else (line, float(re.search(r" 2mi=(\S+)", line)[1]) / 2, 2)
+            for line in report.splitlines() if line.startswith("case=")
+        ]
+        assert len(rows) == 12
+        for line, value, n_sites in rows:
+            below = value < ed.exact_cmi_floor(2, n_sites)
+            assert line.endswith("  (below the ED round-off floor)") == below, line
+        # the 2I of case 0 reads -2.44e-19, which is round-off
+        assert rows[2][0].startswith("case=0 cor2=") and rows[2][0].endswith("floor)")

@@ -8,6 +8,7 @@ import pytest
 from gibbsmarkov.clusters import (
     _bits,
     _site_sets,
+    _split,
     count_bound_check,
     counting_bound,
     enumerate_connected,
@@ -109,6 +110,23 @@ class TestConnectivity:
         assert is_connected_to(ham, c, (0, 1, 2, 3))  # both touch the region
         assert not is_connected_to(ham, c, (0,))
 
+    def test_split_into_components(self):
+        parts = _split([(0, 1), (4,), (5, 6), (1, 2), (), (2, 5)])
+        got = sorted((sorted(sites), positions) for sites, positions in parts)
+        assert got == [([], [4]), ([0, 1, 2, 5, 6], [0, 2, 3, 5]), ([4], [1])]
+        assert _split([]) == []
+
+    def test_empty_cluster(self):
+        ham = chain_ham(3)
+        empty = make_cluster(ham, ())
+        assert not is_connected(ham, empty)
+        assert is_connected_to(ham, empty, (0,))
+        assert not links_regions(ham, empty, (0,), (2,))
+
+    def test_empty_region_joins_no_element(self):
+        ham = chain_ham(3)
+        assert not is_connected_to(ham, make_cluster(ham, (0,)), ())
+
     def test_linking_needs_both_anchors(self):
         ham = chain_ham(3)
         c = make_cluster(ham, (0, 1))
@@ -121,11 +139,16 @@ class TestIntegerInputs:
         with pytest.raises(ValidationError, match="term index 1.7 is not an integer"):
             make_cluster(chain_ham(4), (1.7, 2.2))
 
+    def test_make_cluster_refuses_a_negative_term_index(self):
+        # -1 would read the last term
+        with pytest.raises(ValidationError, match="term index must be >= 0, got -1"):
+            make_cluster(chain_ham(4), (0, -1))
+
     def test_make_cluster_takes_numpy_integers(self):
         assert make_cluster(chain_ham(4), (np.int64(2), np.int64(1))).term_indices == (1, 2)
 
     @pytest.mark.parametrize("m, message", [
-        (0, "m must be >= 1, got 0"), (2.5, "cluster size 2.5 is not an integer"),
+        (0, "cluster size must be >= 1, got 0"), (2.5, "cluster size 2.5 is not an integer"),
     ], ids=["zero", "float"])
     def test_enumerators_refuse_a_size_that_is_not_a_positive_integer(self, m, message):
         ham = chain_ham(4)
@@ -289,6 +312,15 @@ class TestVerifyCountingSuite:
     def test_passes(self, seed):
         ok, report = run_suite("counting", seed)
         assert ok, report
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed 1.5 is not an integer"),
+        (True, "seed True is not an integer"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["float", "bool", "negative"])
+    def test_refuses_a_seed_outside_the_contract(self, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            run_suite("counting", seed)
 
     @pytest.mark.parametrize(
         "name",

@@ -12,7 +12,14 @@ from gibbsmarkov.bounds import critical_beta
 from gibbsmarkov.expansion import cmi_expansion
 from gibbsmarkov.operators import SupportedOperator, embed
 from gibbsmarkov.random_models import random_chain, random_grid, tfi_chain
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian, load_model
+from gibbsmarkov.spin_model import (
+    FiniteRange,
+    PAULI,
+    ValidationError,
+    build_graph,
+    build_hamiltonian,
+    load_model,
+)
 
 from conftest import random_hermitian
 
@@ -51,6 +58,11 @@ class TestExactGibbs:
     def test_size_cap(self):
         with pytest.raises(ed.EDLimitError):
             ed.exact_gibbs(free_ham(5), limit=4)
+
+    @pytest.mark.parametrize("limit", ["x", 4.5, True], ids=["string", "float", "bool"])
+    def test_limit_that_is_not_an_integer(self, limit):
+        with pytest.raises(ValidationError, match=f"limit {limit!r} is not an integer"):
+            ed.exact_gibbs(free_ham(3), limit=limit)
 
     def test_large_beta_does_not_overflow(self):
         st = ed.exact_gibbs(ferro_chain(3, beta=500.0))

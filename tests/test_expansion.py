@@ -25,6 +25,7 @@ from gibbsmarkov.expansion import (
     local_entropy,
     local_observable,
     log_partition_function,
+    log_z_certificate,
     reduced_state,
     trace_distance_certificate,
     truncation_certificate,
@@ -528,6 +529,39 @@ class TestRefusals:
     def test_order_that_is_not_an_integer(self, chain6, call, order):
         with pytest.raises(ValidationError, match=f"order {order!r} is not an integer"):
             call(chain6[0], order)
+
+    @pytest.mark.parametrize("call, region", [
+        (lambda ham: effective_hamiltonian(ham, 1, 2), 1),
+        (lambda ham: cmi_expansion(ham, 0, (1,), (2,), 2), 0),
+    ], ids=["effective_hamiltonian", "cmi_expansion"])
+    def test_region_that_is_not_a_collection(self, chain6, call, region):
+        with pytest.raises(ValidationError,
+                           match=f"region {region} is not a collection of vertex ids"):
+            call(chain6[0])
+
+    def test_ed_limit_that_is_not_an_integer(self, chain6):
+        with pytest.raises(ValidationError, match="ed_limit 'x' is not an integer"):
+            effective_hamiltonian(chain6[0], (1,), 2, ed_limit="x").scalar_part
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ham: truncation_certificate(ham, (1,), -1), "order must be >= 0, got -1"),
+        (lambda ham: trace_distance_certificate(ham, (1,), -1), "order must be >= 0, got -1"),
+        (lambda ham: entropy_certificate(ham, (1,), -3), "order must be >= 0, got -3"),
+        (lambda ham: log_z_certificate(ham, 1.5), "order 1.5 is not an integer"),
+        (lambda ham: cmi_order_norm_bound(ham, (0,), (3,), "a"), "cluster size 'a' is not an integer"),
+        (lambda ham: cmi_order_norm_bound(ham, (0,), (3,), 0), "cluster size must be >= 1, got 0"),
+    ], ids=["truncation", "trace_distance", "entropy", "log_z", "cmi_order-string",
+            "cmi_order-zero"])
+    def test_certificate_order_outside_the_contract(self, chain6, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call(chain6[0])
+
+    @pytest.mark.parametrize("pad, message", [
+        (-1, "pad must be >= 0, got -1"), (1.5, "pad 1.5 is not an integer"),
+    ], ids=["negative", "float"])
+    def test_pad_outside_the_contract(self, chain6, pad, message):
+        with pytest.raises(ValidationError, match=message):
+            local_observable(chain6[0], z_on(2), 2, pad=pad)
 
     def test_numpy_order(self, chain6):
         ham = chain6[0]

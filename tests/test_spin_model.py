@@ -16,6 +16,7 @@ from gibbsmarkov.spin_model import (
     ValidationError,
     build_graph,
     build_hamiltonian,
+    check_integer,
     g_tilde,
     load_model,
     locality_profile,
@@ -197,6 +198,25 @@ class TestIntegerInputs:
     def test_hamiltonian_refuses_a_string_exponent(self):
         with pytest.raises(ValidationError, match="alpha must be positive, got 2"):
             build_hamiltonian(chain(3), [((0, 1), 0.1 * ZZ)], PowerLaw("2"), beta=0.01)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_graph(0, []), "vertex_count must be >= 1, got 0"),
+        (lambda: build_graph(2, [(0, 1)], local_dim=1), "local_dim must be >= 2, got 1"),
+        (lambda: build_hamiltonian(chain(3), [((0, 1), 0.1 * ZZ)], FiniteRange(0), beta=0.01),
+         "finite range r must be >= 1, got 0"),
+    ], ids=["vertex_count", "local_dim", "finite_range"])
+    def test_counts_below_their_floor(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+    def test_check_integer_floor(self):
+        assert check_integer(np.int64(3), "count", 3) == 3
+        assert type(check_integer(np.int64(3), "count", 3)) is int
+        with pytest.raises(ValidationError, match="count must be >= 4, got 3"):
+            check_integer(np.int64(3), "count", 4)
+        # the type is checked before the floor
+        with pytest.raises(ValidationError, match="count 0.5 is not an integer"):
+            check_integer(0.5, "count", 1)
 
     def test_numpy_integers_are_counts(self):
         g = build_graph(np.int64(3), [(0, 1), (1, 2)], local_dim=np.int64(2))
@@ -447,6 +467,14 @@ class TestGTilde:
         )
         assert g_tilde(ham, 1) == pytest.approx(0.7)
         assert g_tilde(ham, 2) == 0.0
+
+    @pytest.mark.parametrize("l, message", [
+        (0, "l must be >= 1, got 0"), (1.0, "l 1.0 is not an integer"),
+    ], ids=["zero", "float"])
+    def test_diameter_is_an_integer_with_a_floor(self, l, message):
+        ham = build_hamiltonian(chain(3), [((0, 1), 0.4 * ZZ)], FiniteRange(1), beta=0.1)
+        with pytest.raises(ValidationError, match=message):
+            g_tilde(ham, l)
 
     def test_power_law_matches_brute_force(self, rng):
         n, alpha = 6, 2.0
