@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .spin_model import Hamiltonian, PowerLaw, SpinGraph, ValidationError, check_beta, check_integer, g_tilde
 from . import ed
 
@@ -151,9 +153,8 @@ def cmi_decay_bound(ham: Hamiltonian, a_region, c_region) -> BoundReport:
 
 def recovery_error_bound(cmi: float) -> float:
     """Trace-norm error of the local recovery map guaranteed by a small CMI:
-    sqrt(cmi * log 2)."""
-    if cmi < 0:
-        raise ValueError("cmi must be nonnegative")
+    sqrt(cmi * log 2).  A negative or nan CMI raises ``ValidationError``."""
+    _require(cmi >= 0, f"cmi must be nonnegative, got {cmi}")
     return math.sqrt(cmi * math.log(2.0))
 
 
@@ -188,19 +189,12 @@ def tail_sum_check(ham: Hamiltonian, m: int, l0: int) -> tuple[float, float, boo
     m = check_integer(m, "m", 1)
     l0 = check_integer(l0, "l0", 1)
     n = ham.graph.vertex_count
-    profile = [0.0] + [g_tilde(ham, l) for l in range(1, n + 1)]
-
-    def partial(j: int, total: int) -> float:
-        if j == m:
-            return 1.0 if total >= l0 else 0.0
-        acc = 0.0
-        for l in range(1, n + 1):
-            if profile[l] == 0.0:
-                continue
-            acc += profile[l] * partial(j + 1, total + l)
-        return acc
-
-    measured = partial(0, 0)
+    profile = np.array([0.0] + [g_tilde(ham, l) for l in range(1, n + 1)])
+    # entry L of the m-fold convolution sums the products over l_1+...+l_m = L
+    folded = profile
+    for _ in range(m - 1):
+        folded = np.convolve(folded, profile)
+    measured = float(folded[l0:].sum())
     if isinstance(ham.interaction_class, PowerLaw):
         alpha = ham.interaction_class.alpha
         bound = 11.0 ** m * l0 ** (-alpha)

@@ -246,7 +246,7 @@ def cmd_cmi(args, ham) -> int:
     if res.cmi_estimate is not None:
         exact = ed.exact_cmi(st, a, b, c)
         floor = ed.exact_cmi_floor(ham.local_dim, len(a + b + c))
-        marks = ["  (below the ED round-off floor)" if value < floor else ""
+        marks = [ed.roundoff_mark(value, ham.local_dim, len(a + b + c))
                  for value in (res.cmi_estimate, exact)]
         lines.append(f"tr(rho H) estimate: {res.cmi_estimate:.6e}{marks[0]}"
                      f"   ED exact CMI: {exact:.6e}{marks[1]}")

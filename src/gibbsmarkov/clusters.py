@@ -13,11 +13,12 @@ table of ``derivatives`` splits its sub-multisets with it too.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
 
-from .spin_model import Hamiltonian, check_integer
+from .spin_model import Hamiltonian, ValidationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -34,21 +35,19 @@ class Cluster:
     @property
     def multiplicity(self) -> int:
         """Number of ordered sequences realizing this multiset."""
-        n = math.factorial(len(self.term_indices))
-        run = 1
-        prev = None
-        for idx in self.term_indices:
-            if idx == prev:
-                run += 1
-                n //= run
-            else:
-                run = 1
-            prev = idx
-        return n
+        return _multinomial(collections.Counter(self.term_indices).values())
+
+
+def _multinomial(counts) -> int:
+    """(sum of counts)! / prod(count!): the orderings of a multiset with
+    these multiplicities, or the ways to deal a sequence into these sizes."""
+    return math.factorial(sum(counts)) // math.prod(math.factorial(k) for k in counts)
 
 
 def make_cluster(ham: Hamiltonian, term_indices) -> Cluster:
     idx = tuple(sorted(check_integer(i, "term index", 0) for i in term_indices))
+    if idx and idx[-1] >= len(ham.terms):
+        raise ValidationError(f"term index must be < {len(ham.terms)}, got {idx[-1]}")
     support = set()
     for i in idx:
         support.update(ham.terms[i].support)

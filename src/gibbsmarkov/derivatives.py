@@ -49,8 +49,8 @@ import operator
 import numpy as np
 
 from .operators import SupportedOperator, add_embedded, embed_matrix, embedded_product, trace_out
-from .spin_model import Hamiltonian
-from .clusters import Cluster, _split, overlap_counts
+from .spin_model import Hamiltonian, ValidationError
+from .clusters import Cluster, _multinomial, _split, overlap_counts
 
 
 class MomentTable:
@@ -150,10 +150,7 @@ class MomentTable:
                 prod = embedded_product(prod, _positions(sites, joint), part_prod,
                                         _positions(part_sites, joint), len(joint), d)
                 sites = joint
-            count = math.factorial(len(alpha))
-            for part in parts:
-                count //= math.factorial(len(part))
-            return support, count * prod
+            return support, _multinomial([len(part) for part in parts]) * prod
         if len(alpha) == 1:
             hit = support, self.ham.terms[alpha[0]].matrix
         else:
@@ -392,7 +389,7 @@ def cmi_cluster_term(
     abc = set(regions[2][0])
     target = tuple(v for v in cluster.support if v in abc)
     if not target:
-        raise ValueError("cluster does not intersect A u B u C")
+        raise ValidationError("cluster does not intersect A u B u C")
     if moments is None:
         moments = MomentTable(ham)
     d = ham.local_dim

@@ -32,7 +32,7 @@ from .operators import (
     partial_trace,
     sum_embedded,
 )
-from .spin_model import Hamiltonian, check_integer
+from .spin_model import Hamiltonian, ValidationError, check_integer
 
 DEFAULT_ED_LIMIT = 12
 
@@ -48,7 +48,7 @@ class EDLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactGibbs:
-    """Full Gibbs state e^{-beta H}/Z with its log partition function."""
+    """Gibbs state e^{-beta H}/Z on rho's sites, with its log partition function."""
 
     hamiltonian: Hamiltonian
     rho: SupportedOperator
@@ -162,8 +162,11 @@ def _taylor_in_place(a: np.ndarray, k: int) -> np.ndarray | None:
     return a2
 
 
-def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
-    """Dense Gibbs state e^{-beta H}/Z by scaling and squaring.
+def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT, sites=None) -> ExactGibbs:
+    """Dense Gibbs state e^{-beta H}/Z, H the terms inside the sorted vertex
+    tuple ``sites`` (every vertex by default), by scaling and squaring; more
+    than ``limit`` sites are refused.  Its log Z is the one ED log Z, also
+    of the complement in ``expansion._complement_log_z_ed``.
 
     With x = beta * sum_j ||h_j|| >= ||beta H||, the degree-k Taylor
     polynomial of A = -beta H / 2^s is taken at the k and s of
@@ -178,12 +181,12 @@ def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
     temporaries of the blocks and of the squares stay below half a d^n x d^n
     array from 9 qubits on.
     """
-    n = ham.graph.vertex_count
-    if n > check_integer(limit, "limit"):
-        raise EDLimitError(f"{n} sites exceeds the dense-diagonalization limit {limit}")
-    x = ham.beta * sum(t.norm for t in ham.terms)
+    sites = tuple(range(ham.graph.vertex_count)) if sites is None else sites
+    if len(sites) > check_integer(limit, "limit"):
+        raise EDLimitError(f"{len(sites)} sites exceeds the dense-diagonalization limit {limit}")
+    x = ham.beta * sum(t.norm for t in ham.terms if set(t.support) <= set(sites))
     s, k = _taylor_plan(x)
-    rho_mat = hamiltonian_matrix(ham).matrix
+    rho_mat = hamiltonian_matrix(ham, sites).matrix
     rho_mat *= -ham.beta / 2.0 ** s
     # s >= 1 puts x / 2^s above 1/4, where k >= 2, so spare is an array
     spare = _taylor_in_place(rho_mat, k)
@@ -196,7 +199,7 @@ def exact_gibbs(ham: Hamiltonian, limit: int = DEFAULT_ED_LIMIT) -> ExactGibbs:
         t = np.trace(rho_mat).real
         rho_mat /= t
         log_z = 2.0 * log_z + math.log(t)
-    rho = SupportedOperator(tuple(range(n)), rho_mat, local_dim=ham.local_dim)
+    rho = SupportedOperator(sites, rho_mat, local_dim=ham.local_dim)
     return ExactGibbs(ham, rho, log_z)
 
 
@@ -261,6 +264,12 @@ def exact_cmi_floor(local_dim: int, n_sites: int) -> float:
     return CMI_ROUNDOFF_ULPS * float(np.finfo(float).eps) * n_sites * math.log(local_dim)
 
 
+def roundoff_mark(cmi: float, local_dim: int, n_sites: int) -> str:
+    """The mark after a printed CMI on n_sites sites of local dimension d
+    that is below :func:`exact_cmi_floor`; empty above it."""
+    return "  (below the ED round-off floor)" if cmi < exact_cmi_floor(local_dim, n_sites) else ""
+
+
 def exact_effective_hamiltonian(st: ExactGibbs, region) -> SupportedOperator:
     """-beta^-1 log of the un-normalized reduced Gibbs weight on the region,
     read off the Gibbs state: tr_{L^c} e^{-beta H} = Z tr_{L^c} rho."""
@@ -275,7 +284,7 @@ def operator_correlation(
     """Connected correlation tr(rho A B) - tr(rho A) tr(rho B) for operators
     on disjoint supports, read off the reduced state on supp(A) u supp(B)."""
     if set(op_a.support) & set(op_b.support):
-        raise ValueError("observables must live on disjoint supports")
+        raise ValidationError("observables must live on disjoint supports")
     sites = tuple(sorted(op_a.support + op_b.support))
     r = reduced_density(st, sites).matrix
     a = embed(op_a, sites).matrix

@@ -52,7 +52,7 @@ class ExpansionResult:
         if not comp:
             return 0.0, "exact-empty"
         if len(comp) <= self.ed_limit:
-            return -_complement_log_z_ed(ham, comp) / ham.beta, "ed"
+            return -_complement_log_z_ed(ham, comp, self.ed_limit) / ham.beta, "ed"
         return -_scalar_series(ham, comp, self.order) / ham.beta, "series"
 
     @property
@@ -282,12 +282,11 @@ def effective_hamiltonian(
     )
 
 
-def _complement_log_z_ed(ham: Hamiltonian, comp) -> float:
-    """log tr e^{-beta H_comp} where H_comp keeps only terms inside the
-    sorted vertex tuple comp."""
-    w = np.linalg.eigvalsh(ed.hamiltonian_matrix(ham, comp).matrix)
-    shifted = -ham.beta * (w - w[0])
-    return float(np.log(np.exp(shifted).sum()) - ham.beta * w[0])
+def _complement_log_z_ed(ham: Hamiltonian, comp, limit: int) -> float:
+    """log tr e^{-beta H_comp}, H_comp the terms inside the sorted vertex
+    tuple comp: the log Z of :func:`ed.exact_gibbs` on those sites, at most
+    ``limit`` of them."""
+    return ed.exact_gibbs(ham, limit, comp).log_z
 
 
 def log_z_certificate(ham: Hamiltonian, order: int) -> tuple[float, bool]:

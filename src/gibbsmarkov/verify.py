@@ -31,7 +31,7 @@ from .derivatives import cluster_derivative
 from .expansion import effective_hamiltonian, log_partition_function
 from .operators import embed
 from .random_models import power_law_chain, random_chain, random_grid
-from .spin_model import check_integer
+from .spin_model import ValidationError, check_integer
 
 SUITES = ("derivatives", "certificates", "counting", "bounds", "longrange")
 
@@ -221,11 +221,14 @@ def suite_bounds(seed: int) -> tuple[bool, str]:
         frac = float(rng.choice([0.25, 0.5, 0.9]))
         ham = random_chain(6, frac * bc, seed=seed * 300 + case)
         st = ed.exact_gibbs(ham)
-        for a, b, c in (((0,), (1,), (2, 3, 4, 5)), ((0, 1), (2, 3), (4, 5))):
+        # only the I(0:1) at d(A, C) = 1 reads above the ED round-off floor
+        for a, b, c in (
+            ((0,), (1,), (2, 3, 4, 5)), ((0, 1), (2, 3), (4, 5)), ((0,), (), (1,))
+        ):
             value = ed.exact_cmi(st, a, b, c)
             rep = cmi_decay_bound(ham, a, c)
             d_ac = rep.inputs["d_ac"]
-            mark = _roundoff_mark(value, len(a + b + c))
+            mark = ed.roundoff_mark(value, ham.local_dim, len(a + b + c))
             lines.append(
                 f"case={case} dAC={d_ac} cmi={_fmt(value)} bound={_fmt(rep.value)}{mark}"
             )
@@ -236,17 +239,11 @@ def suite_bounds(seed: int) -> tuple[bool, str]:
         ob = ed.SupportedOperator((5,), _random_unit_obs(rng), local_dim=2)
         cor = ed.operator_correlation(st, oa, ob)
         mi = ed.exact_cmi(st, (0,), (), (5,))
-        mark = _roundoff_mark(mi, 2)
+        mark = ed.roundoff_mark(mi, ham.local_dim, 2)
         lines.append(f"case={case} cor2={_fmt(cor * cor)} 2mi={_fmt(2 * mi)}{mark}")
         if cor * cor > 2 * mi + 1e-9:
             failures.append(f"correlation inequality case={case}")
     return _report(lines, failures)
-
-
-def _roundoff_mark(cmi: float, n_sites: int) -> str:
-    """The mark the ``cmi`` subcommand prints after a qubit ED CMI on
-    n_sites sites that is below its round-off floor; empty above it."""
-    return "  (below the ED round-off floor)" if cmi < ed.exact_cmi_floor(2, n_sites) else ""
 
 
 def _random_unit_obs(rng) -> np.ndarray:
@@ -294,5 +291,5 @@ def run_suite(name: str, seed: int) -> tuple[bool, str]:
         "longrange": suite_longrange,
     }
     if name not in table:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
     return table[name](check_integer(seed, "seed", 0))

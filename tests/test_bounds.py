@@ -189,7 +189,7 @@ class TestRecoveryBound:
         assert recovery_error_bound(1.0 / math.log(2.0)) == pytest.approx(1.0)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="cmi must be nonnegative, got -1e-09"):
             recovery_error_bound(-1e-9)
 
 
@@ -217,6 +217,16 @@ class TestTailSums:
             measured, bound, ok = tail_sum_check(ham, m, l0=4)
             assert ok
             assert measured <= bound
+
+    def test_m2_matches_the_sum_over_pairs(self):
+        from gibbsmarkov.spin_model import g_tilde
+
+        ham = power_law_chain(6, alpha=1.0, beta=critical_beta(2) / 22.0, seed=7)
+        g = [0.0] + [g_tilde(ham, l) for l in range(1, 7)]
+        for l0 in (2, 5, 9, 13):
+            direct = sum(g[i] * g[j] for i in range(1, 7) for j in range(1, 7) if i + j >= l0)
+            measured, _, _ = tail_sum_check(ham, 2, l0=l0)
+            assert measured == pytest.approx(direct, rel=1e-14, abs=0.0)
 
     def test_m1_matches_direct_tail(self):
         bc = critical_beta(2)
@@ -255,15 +265,36 @@ class TestVerifyBoundsSuite:
     def test_marks_each_ed_value_below_its_round_off_floor(self):
         ok, report = run_suite("bounds", 0)
         assert ok, report
-        # cmi= lines are on |A u B u C| = 6 qubits, 2mi= lines on 2
-        rows = [
-            (line, float(re.search(r" cmi=(\S+)", line)[1]), 6) if " cmi=" in line
-            else (line, float(re.search(r" 2mi=(\S+)", line)[1]) / 2, 2)
-            for line in report.splitlines() if line.startswith("case=")
-        ]
-        assert len(rows) == 12
+        rows = _value_rows(report)
+        assert len(rows) == 16
         for line, value, n_sites in rows:
             below = value < ed.exact_cmi_floor(2, n_sites)
             assert line.endswith("  (below the ED round-off floor)") == below, line
         # the 2I of case 0 reads -2.44e-19, which is round-off
-        assert rows[2][0].startswith("case=0 cor2=") and rows[2][0].endswith("floor)")
+        assert rows[3][0].startswith("case=0 cor2=") and rows[3][0].endswith("floor)")
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_each_case_measures_a_value_above_the_floor(self, seed):
+        # the mutual information of sites 0 and 1, at d(A, C) = 1, reads
+        # 3e-8 to 2e-7 at these seeds against a floor of 4.9e-15
+        ok, report = run_suite("bounds", seed)
+        assert ok, report
+        unmarked = {line.split()[0] for line, _, _ in _value_rows(report)
+                    if not line.endswith("  (below the ED round-off floor)")}
+        assert unmarked == {f"case={i}" for i in range(4)}
+
+
+def _value_rows(report: str) -> list:
+    """(line, value, |A u B u C|) for each value line of a bounds report:
+    cmi= lines are on 6 qubits but for the d(A, C) = 1 mutual information
+    of sites 0 and 1, 2mi= lines (whose value is halved) on 2."""
+    rows = []
+    for line in report.splitlines():
+        if not line.startswith("case="):
+            continue
+        if " cmi=" in line:
+            n_sites = 2 if " dAC=1.0 " in line else 6
+            rows.append((line, float(re.search(r" cmi=(\S+)", line)[1]), n_sites))
+        else:
+            rows.append((line, float(re.search(r" 2mi=(\S+)", line)[1]) / 2, 2))
+    return rows

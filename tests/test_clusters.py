@@ -144,6 +144,12 @@ class TestIntegerInputs:
         with pytest.raises(ValidationError, match="term index must be >= 0, got -1"):
             make_cluster(chain_ham(4), (0, -1))
 
+    def test_make_cluster_refuses_a_term_index_past_the_last_term(self):
+        # chain_ham(4) has 3 terms; index 3 raised a raw IndexError
+        for idxs in ((3,), (0, 99)):
+            with pytest.raises(ValidationError, match=rf"term index must be < 3, got {idxs[-1]}"):
+                make_cluster(chain_ham(4), idxs)
+
     def test_make_cluster_takes_numpy_integers(self):
         assert make_cluster(chain_ham(4), (np.int64(2), np.int64(1))).term_indices == (1, 2)
 
@@ -321,6 +327,10 @@ class TestVerifyCountingSuite:
     def test_refuses_a_seed_outside_the_contract(self, seed, message):
         with pytest.raises(ValidationError, match=message):
             run_suite("counting", seed)
+
+    def test_refuses_an_unknown_suite(self):
+        with pytest.raises(ValidationError, match="unknown suite 'nope'"):
+            run_suite("nope", 0)
 
     @pytest.mark.parametrize(
         "name",

@@ -28,7 +28,13 @@ from gibbsmarkov.derivatives import (
 from gibbsmarkov.expansion import effective_hamiltonian
 from gibbsmarkov.operators import embed, embed_matrix, operator_norm
 from gibbsmarkov.random_models import random_chain, random_grid
-from gibbsmarkov.spin_model import FiniteRange, PAULI, build_graph, build_hamiltonian
+from gibbsmarkov.spin_model import (
+    FiniteRange,
+    PAULI,
+    ValidationError,
+    build_graph,
+    build_hamiltonian,
+)
 from gibbsmarkov import verify
 from gibbsmarkov.verify import exact_derivative, run_suite
 
@@ -505,6 +511,12 @@ class TestCmiCombination:
         )
         combo = cmi_cluster_term(ham, c, (0,), (1,), (2,))
         assert operator_norm(combo.matrix) <= cmi_derivative_norm_bound(ham, c) + 1e-12
+
+    def test_refuses_a_cluster_that_misses_abc(self):
+        ham = random_chain(5, beta=0.3 * critical_beta(2), seed=0)
+        c = make_cluster(ham, (term_index(ham, (3, 4)),))
+        with pytest.raises(ValidationError, match="cluster does not intersect A u B u C"):
+            cmi_cluster_term(ham, c, (0,), (1,), (2,))
 
 
 class TestVerifyDerivativeSuite:

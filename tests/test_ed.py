@@ -64,6 +64,21 @@ class TestExactGibbs:
         with pytest.raises(ValidationError, match=f"limit {limit!r} is not an integer"):
             ed.exact_gibbs(free_ham(3), limit=limit)
 
+    def test_terms_inside_a_site_set(self):
+        # the Gibbs state of the terms inside the sites, on those sites, and
+        # refused only when there are more of them than the limit
+        ham = random_chain(6, beta=0.5 * BETA_C, seed=2)
+        sites = (0, 1, 3, 4)
+        st = ed.exact_gibbs(ham, limit=4, sites=sites)
+        assert st.rho.support == sites
+        w, v = np.linalg.eigh(embed_sum(ham, sites))
+        weights = np.exp(-ham.beta * (w - w[0]))
+        assert st.log_z == pytest.approx(math.log(weights.sum()) - ham.beta * w[0], rel=1e-14)
+        rho = (v * (weights / weights.sum())) @ v.conj().T
+        assert np.max(np.abs(st.rho.matrix - rho)) <= 1e-15
+        with pytest.raises(ed.EDLimitError, match="5 sites exceeds the dense-diagonalization limit 4"):
+            ed.exact_gibbs(ham, limit=4, sites=(0, 1, 2, 3, 4))
+
     def test_large_beta_does_not_overflow(self):
         st = ed.exact_gibbs(ferro_chain(3, beta=500.0))
         assert math.isfinite(st.log_z)
@@ -215,6 +230,15 @@ class TestEntropiesAndCmi:
         with pytest.raises(ValueError):
             ed.exact_cmi(st, (0,), (0, 1), (2,))
 
+    @pytest.mark.parametrize("d, n_sites", [(2, 2), (2, 6), (3, 4)])
+    def test_roundoff_mark_at_the_floor(self, d, n_sites):
+        floor = ed.exact_cmi_floor(d, n_sites)
+        assert ed.roundoff_mark(math.nextafter(floor, 0.0), d, n_sites) == (
+            "  (below the ED round-off floor)"
+        )
+        assert ed.roundoff_mark(-1.0, d, n_sites).endswith("floor)")
+        assert ed.roundoff_mark(floor, d, n_sites) == ""
+
 
 class TestEffectiveHamiltonian:
     def test_full_region_returns_hamiltonian(self):
@@ -279,5 +303,5 @@ class TestCorrelations:
     def test_rejects_overlapping_supports(self):
         st = ed.exact_gibbs(free_ham(3))
         op = SupportedOperator((1,), PAULI["Z"], local_dim=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="observables must live on disjoint supports"):
             ed.operator_correlation(st, op, op)

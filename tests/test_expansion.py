@@ -247,6 +247,38 @@ class TestEffectiveHamiltonian:
         # both scalar channels target log Z of the complement
         assert by_series.scalar_part == pytest.approx(by_ed.scalar_part, rel=1e-6)
 
+    @pytest.mark.parametrize("build, region", [
+        (lambda: random_chain(9, beta=0.25 * BETA_C, seed=3), (4, 5)),
+        (lambda: random_grid(3, 3, beta=0.5 * BETA_C, seed=0), (4,)),
+        (lambda: random_chain(12, beta=0.25 * BETA_C, seed=0), (5, 6)),
+        (lambda: random_chain(6, beta=500.0, seed=1), (2, 3)),
+    ], ids=["chain9", "grid3x3", "chain12", "chain6-beta500"])
+    def test_complement_log_z_against_eigenvalues(self, build, region):
+        ham = build()
+        comp = tuple(v for v in range(ham.graph.vertex_count) if v not in region)
+        got = expansion._complement_log_z_ed(ham, comp, len(comp))
+        # log-sum-exp over the spectrum of the terms inside the complement
+        w = np.linalg.eigvalsh(ed.hamiltonian_matrix(ham, comp).matrix)
+        want = math.log(np.exp(-ham.beta * (w - w[0])).sum()) - ham.beta * w[0]
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_ed_scalar_channel_takes_the_ed_limit(self, monkeypatch):
+        # the ED route is chosen by ed_limit, so ED must run at that limit,
+        # above its own default too
+        ham = random_chain(6, beta=0.5 * BETA_C, seed=5)
+        calls = []
+        real = ed.exact_gibbs
+
+        def recorded(ham, limit=ed.DEFAULT_ED_LIMIT, sites=None):
+            calls.append((limit, sites))
+            return real(ham, limit, sites)
+
+        monkeypatch.setattr(ed, "exact_gibbs", recorded)
+        for ed_limit in (4, 14):
+            res = effective_hamiltonian(ham, (2, 3), 1, ed_limit=ed_limit)
+            assert res.scalar_provenance == "ed"
+        assert calls == [(4, (0, 1, 4, 5)), (14, (0, 1, 4, 5))]
+
     @pytest.mark.parametrize("build", [
         lambda: random_chain(9, beta=0.5 * BETA_C, seed=7),
         lambda: random_grid(3, 3, beta=0.5 * BETA_C, seed=7),
