@@ -13,7 +13,8 @@ bound ||beta H|| <= beta * sum_j ||h_j||.  It lives in two dense arrays:
 the polynomial is evaluated one block of columns at a time over the
 Hamiltonian's own storage, and every product whose result is Hermitian is
 formed on and above the diagonal only.  The dense Hamiltonian is summed in
-place, each term added through a diagonal view of the (d,)^{2n} tensor
+place, the terms of each support summed first and each sum added through
+a diagonal view of the (d,)^{2n} tensor
 (:func:`~gibbsmarkov.operators.sum_embedded`).  Every entropy is |X| log d
 minus one deficit of the marginal on X (``_deficit``).
 """
@@ -61,11 +62,27 @@ class ExactGibbs:
 
 def hamiltonian_matrix(ham: Hamiltonian, sites=None) -> SupportedOperator:
     """The sum of the terms inside the sorted vertex tuple ``sites``, every
-    vertex by default, as a dense operator on ``sites``."""
+    vertex by default, as a dense operator on ``sites``; the terms of one
+    support are summed first (:func:`_support_sums`)."""
     sites = tuple(range(ham.graph.vertex_count)) if sites is None else sites
-    inside = [(1.0, t) for t in ham.terms if set(t.support) <= set(sites)]
-    mat = sum_embedded(inside, sites, ham.local_dim)
-    return SupportedOperator(sites, mat, local_dim=ham.local_dim)
+    d = ham.local_dim
+    sums = _support_sums(ham, sites).items()
+    mat = sum_embedded(((1.0, SupportedOperator(s, m, d)) for s, m in sums), sites, d)
+    return SupportedOperator(sites, mat, local_dim=d)
+
+
+def _support_sums(ham: Hamiltonian, sites) -> dict:
+    """The terms inside the vertex set ``sites`` summed per support, the
+    terms of one support in index order: support -> matrix, the supports in
+    the order of their first term.  Every H_V is the sum of these, so
+    :func:`hamiltonian_matrix` and the stacked H_V of the log Z series add
+    the same numbers."""
+    inside = set(sites)
+    sums: dict = {}
+    for t in ham.terms:
+        if inside.issuperset(t.support):
+            sums[t.support] = sums[t.support] + t.matrix if t.support in sums else t.matrix
+    return sums
 
 
 def _taylor_plan(x: float) -> tuple[int, int]:

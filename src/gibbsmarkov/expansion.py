@@ -23,9 +23,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import SupportedOperator, add_embedded, embed, expm_hermitian, sum_embedded
+from .operators import (
+    SupportedOperator,
+    add_embedded,
+    embed,
+    expm_hermitian,
+    operator_norms,
+    sum_embedded,
+)
 from .spin_model import FiniteRange, Hamiltonian, ModelError, check_integer
-from .clusters import _bits, _site_sets, enumerate_connected_to_region, enumerate_linking
+from .clusters import _site_sets, enumerate_connected_to_region, enumerate_linking
 from .derivatives import MomentTable, cluster_derivative, cmi_cluster_term
 from .bounds import critical_beta, surface_region
 from . import ed
@@ -93,13 +100,11 @@ class ExpansionResult:
         return SupportedOperator(self.region, mat, local_dim=op.local_dim)
 
     def per_order_norms(self) -> dict:
-        out = {}
-        for m, entries in sorted(self.boundary_terms.items()):
-            total = 0.0
-            for cluster, op in entries:
-                total += cluster.multiplicity * op.norm()
-            out[m] = total
-        return out
+        """m -> the sum over the order-m boundary clusters of n_w ||h_w||."""
+        return {
+            m: _norm_sum((cluster.multiplicity, op.matrix) for cluster, op in entries)
+            for m, entries in sorted(self.boundary_terms.items())
+        }
 
 
 def truncation_certificate(ham: Hamiltonian, region, order: int) -> tuple[float, bool]:
@@ -133,6 +138,44 @@ def _scalar_series(ham: Hamiltonian, region, order: int) -> float:
 # raised the peak RSS from 40 to 55 MB.
 _STACK_BYTES = 1 << 18
 
+# The bytes of the matrices of one size whose norms _norm_sum takes in one
+# call; the stacks of operator_norms and their temporaries hold about four
+# times that.  The 112 KB of order-5 CMI pieces of a 4-site chain, in one
+# call, raised the peak RSS by 0.5 MB; in chunks of 64 KB by 0.1-0.3 MB, as
+# one matrix at a time did.  A stacked 16x16 eigensolve costs 17 us a
+# matrix in stacks of 8 and of 32 alike.
+_NORM_CHUNK_BYTES = 1 << 16
+
+
+def _norm_sum(weighted) -> float:
+    """The sum of weight * ||matrix|| over the (weight, matrix) pairs of the
+    iterable ``weighted``, in its order.  The matrices wait, by shape, until
+    one more would take those of their shape past _NORM_CHUNK_BYTES, and
+    then go to :func:`operator_norms` together, so the pairs are never all
+    held and each call eigensolves one size."""
+    weights, norms = [], []
+    waiting: dict = {}  # shape -> (positions in weights, matrices)
+
+    def flush(shape):
+        positions, matrices = waiting.pop(shape)
+        for position, norm in zip(positions, operator_norms(matrices)):
+            norms[position] = norm
+
+    for weight, matrix in weighted:
+        positions, matrices = waiting.setdefault(matrix.shape, ([], []))
+        positions.append(len(weights))
+        matrices.append(matrix)
+        weights.append(weight)
+        norms.append(0.0)
+        if (len(matrices) + 1) * matrix.nbytes > _NORM_CHUNK_BYTES:
+            flush(matrix.shape)
+    for shape in list(waiting):
+        flush(shape)
+    total = 0.0
+    for weight, norm in zip(weights, norms):
+        total += weight * norm
+    return total
+
 
 def _scalar_terms(ham: Hamiltonian, region, order: int) -> np.ndarray:
     """The order-m terms of log tr e^{-beta H_region} / d^|region|, m = 1..order.
@@ -144,10 +187,12 @@ def _scalar_terms(ham: Hamiltonian, region, order: int) -> np.ndarray:
     starts at order c(T), so the sets of ``clusters._site_sets`` carry
     every term, and W(V) = P(V) - sum_{T < V} W(T), smaller sets first,
     with its orders below c(V) set to exactly 0.  P(V) is taken for sets of
-    one size at a time, in stacks of at most _STACK_BYTES of H_V.
+    one size at a time, in stacks of at most _STACK_BYTES of H_V, each
+    built in one buffer per size.
     """
     d = ham.local_dim
     sets = _site_sets(ham, region, order)
+    terms = _support_stacks(ham, region)
     masks = sorted(sets, key=lambda v: (v.bit_count(), v))
     index = {v: row for row, v in enumerate(masks)}
     # W_1..W_order(V) in row index[V]; the last row stays 0
@@ -156,11 +201,13 @@ def _scalar_terms(ham: Hamiltonian, region, order: int) -> np.ndarray:
     for size, group in itertools.groupby(masks, key=int.bit_count):
         group = list(group)
         step = max(1, _STACK_BYTES // (16 * d ** (2 * size)))
+        buffer = np.empty((min(step, len(group)),) + (d ** size,) * 2, dtype=complex)
         for first in range(0, len(group), step):
             chunk = group[first:first + step]
             w = weights[start:start + len(chunk)]
             start += len(chunk)
-            w[:] = _log_trace_series(_stacked_hamiltonians(ham, chunk, sets, size), ham.beta, order)
+            stack = _stacked_hamiltonians(ham, chunk, sets, terms, buffer[:len(chunk)])
+            w[:] = _log_trace_series(stack, ham.beta, order)
             # each row's block of subsets starts with the zero row, so none is empty
             blocks, subsets = [], []
             for mask in chunk:
@@ -177,30 +224,59 @@ def _scalar_terms(ham: Hamiltonian, region, order: int) -> np.ndarray:
     return weights.sum(axis=0)
 
 
-def _stacked_hamiltonians(ham: Hamiltonian, masks, sets, n_sites: int) -> np.ndarray:
-    """H_V for each set V of ``masks``, all of ``n_sites`` sites, from the
-    terms inside it, ``sets[V][1]``, as one (len(masks), d^n, d^n) stack.
+def _support_stacks(ham: Hamiltonian, region) -> tuple[dict, dict]:
+    """The terms inside the vertex set ``region`` summed per support
+    (:func:`ed._support_sums`), stacked by support size: (term index -> the
+    row of its support in the stack of its size and, per site of the
+    support, the mask of the sites below it; size -> that
+    (count, d^size, d^size) stack)."""
+    rows: dict = {}
+    stacks: dict = {}
+    for support, matrix in ed._support_sums(ham, region).items():
+        group = stacks.setdefault(len(support), [])
+        rows[support] = len(group), tuple((1 << v) - 1 for v in support)
+        group.append(matrix)
+    slots = {i: rows[t.support] for i, t in enumerate(ham.terms) if t.support in rows}
+    return slots, {size: np.array(group) for size, group in stacks.items()}
 
-    The terms sit at the same positions in many sets: each positions
-    pattern is one stacked :func:`add_embedded` of a stack that holds, for
-    every set, the sum of its terms there, zero for a set that has none.
-    The patterns are added in sorted order, so each H_V is bitwise the same
-    in any stack."""
-    d, terms, n = ham.local_dim, ham.terms, len(masks)
-    patterns: dict = {}  # positions inside V -> the stack of the terms there
+
+def _stacked_hamiltonians(ham: Hamiltonian, masks, sets, terms, out: np.ndarray) -> np.ndarray:
+    """H_V for each set V of ``masks``, all of one size, from the terms
+    inside it, ``sets[V][1]``, written into the (len(masks), d^n, d^n)
+    array ``out``, which is returned; ``terms`` is
+    :func:`_support_stacks` of a region that holds every V.
+
+    The supports sit at the same positions in many sets: a support's
+    position inside V is the number of V's sites below it, a popcount of
+    the mask.  Each positions pattern is one stacked :func:`add_embedded` of
+    a stack that is zero for the sets without that pattern, and is filled
+    with one fancy-index assignment from the support stacks: each support
+    once, its terms summed as in :func:`ed.hamiltonian_matrix`.  The
+    patterns are added in sorted order, so each H_V is bitwise that
+    function's, and the same in any stack.  ``out`` may be one buffer
+    reused for every stack of a size."""
+    d, (slots, stacks) = ham.local_dim, terms
+    patterns: dict = {}  # positions inside V -> (rows of out, rows of the support stack)
     for row, mask in enumerate(masks):
-        position = {v: p for p, v in enumerate(_bits(mask))}
         for i in sets[mask][1]:
-            key = tuple([position[v] for v in terms[i].support])
-            local = patterns.get(key)
-            if local is None:
-                local = patterns[key] = np.zeros((n,) + terms[i].matrix.shape, dtype=complex)
-            local[row] += terms[i].matrix
-    dim = d ** n_sites
-    stack = np.zeros((n, dim, dim), dtype=complex)
+            pick, below = slots[i]
+            key = tuple([(mask & b).bit_count() for b in below])
+            entry = patterns.get(key)
+            if entry is None:
+                entry = patterns[key] = ([], [])
+            elif entry[0][-1] == row:
+                continue  # another term on this support, already in its sum
+            entry[0].append(row)
+            entry[1].append(pick)
+    n_sites = masks[0].bit_count()
+    out.fill(0)
     for positions in sorted(patterns):
-        add_embedded(stack, patterns[positions], positions, n_sites, d)
-    return stack
+        rows, picks = patterns[positions]
+        support_stack = stacks[len(positions)]
+        local = np.zeros((len(masks),) + support_stack.shape[1:], dtype=complex)
+        local[rows] = support_stack[picks]
+        add_embedded(out, local, positions, n_sites, d)
+    return out
 
 
 def _log_trace_series(h: np.ndarray, beta: float, order: int) -> np.ndarray:
@@ -428,15 +504,19 @@ def cmi_expansion(
     acc = np.zeros((d ** len(target), d ** len(target)), dtype=complex)
     per_order: dict = {}
     moments = MomentTable(ham)
-    for m in range(1, order + 1):
-        order_sum = 0.0
+
+    def weighted_pieces(m: int):
+        """(n_w/m!, the piece) of each linking cluster of order m, each
+        added to acc as it is made."""
         for cluster in enumerate_linking(ham, a, c, m):
             piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
             weight = cluster.multiplicity / math.factorial(m)
             positions = [target.index(v) for v in piece.support]
             add_embedded(acc, piece.matrix, positions, len(target), d, -weight)
-            order_sum += weight * piece.norm()
-        per_order[m] = order_sum
+            yield weight, piece.matrix
+
+    for m in range(1, order + 1):
+        per_order[m] = _norm_sum(weighted_pieces(m))
     op = SupportedOperator(target, acc, local_dim=ham.local_dim)
     estimate = None
     if gibbs_state is not None:

@@ -4,11 +4,16 @@ Every operator carries the sorted list of vertex ids it acts on.  The qudit
 ordering inside a matrix is always ascending vertex id; all embeddings and
 permutations derive from that single rule, in :func:`add_embedded`,
 :func:`trace_out` and :func:`embedded_product`, whose plans are cached.
+
+Spectral norms come from :func:`operator_norms`, which takes a list of
+matrices and solves those of one size in one stacked eigensolve;
+:func:`operator_norm` is its one-matrix case.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -39,26 +44,60 @@ def _vertex_ids(vertices) -> tuple[int, ...]:
     raise OperatorError(f"vertex ids must be integers, got {vertices!r}")
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
+def hermiticity_defect(matrix: np.ndarray):
+    """max |M - M^H| over the entries of M, 0 when it has none; for a stack
+    of matrices along leading axes, one value per matrix."""
+    return np.abs(matrix - _adjoint(matrix)).max(axis=(-2, -1), initial=0.0)
 
 
-def is_hermitian_matrix(matrix: np.ndarray) -> bool:
+def is_hermitian_matrix(matrix: np.ndarray):
     """Hermitian to within HERMITICITY_TOL times the largest entry, or
-    absolutely when every entry is below 1."""
-    if matrix.size == 0:
-        return True
-    return hermiticity_defect(matrix) <= HERMITICITY_TOL * max(1.0, float(np.abs(matrix).max()))
+    absolutely when every entry is below 1; for a stack of matrices along
+    leading axes, one verdict per matrix."""
+    scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1), initial=0.0))
+    return hermiticity_defect(matrix) <= HERMITICITY_TOL * scale
+
+
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    return matrix.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2, what the Hermitian eigensolvers are given."""
+    return 0.5 * (matrix + _adjoint(matrix))
+
+
+def operator_norms(matrices) -> list[float]:
+    """The spectral norm of each matrix of the sequence ``matrices``: 0 for
+    an empty one, the largest |eigenvalue| of the Hermitian part of a
+    Hermitian one (by :func:`is_hermitian_matrix`), and the largest
+    singular value of any other.
+
+    The matrices of one shape and dtype are tested as one stack, and the
+    Hermitian ones among them go to one ``eigvalsh`` call, which runs the
+    same LAPACK call on each matrix as on it alone: every norm is bitwise
+    what a list of one matrix gives.  The stacks are copies, so a caller
+    bounds the memory by the length of the list."""
+    norms = [0.0] * len(matrices)
+    groups: dict = {}
+    for i, matrix in enumerate(matrices):
+        if matrix.size:
+            groups.setdefault((matrix.shape, matrix.dtype), []).append(i)
+    for rows in groups.values():
+        stack = np.stack([matrices[i] for i in rows])
+        hermitian = is_hermitian_matrix(stack)
+        if hermitian.any():
+            w = np.linalg.eigvalsh(_hermitian_part(stack[hermitian]))
+            for i, norm in zip(itertools.compress(rows, hermitian), np.abs(w).max(axis=1)):
+                norms[i] = float(norm)
+        for i in itertools.compress(rows, ~hermitian):
+            norms[i] = float(np.linalg.norm(matrices[i], 2))
+    return norms
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Spectral norm, via Hermitian eigensolve when possible."""
-    if matrix.size == 0:
-        return 0.0
-    if is_hermitian_matrix(matrix):
-        w = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-        return float(np.max(np.abs(w)))
-    return float(np.linalg.norm(matrix, 2))
+    """Spectral norm: :func:`operator_norms` of the one matrix."""
+    return operator_norms([matrix])[0]
 
 
 @dataclass(frozen=True)
@@ -90,7 +129,7 @@ class SupportedOperator:
         return operator_norm(self.matrix)
 
     def is_hermitian(self) -> bool:
-        return is_hermitian_matrix(self.matrix)
+        return bool(is_hermitian_matrix(self.matrix))
 
     def require_hermitian(self, what: str = "operator"):
         if not self.is_hermitian():
@@ -265,7 +304,7 @@ def partial_trace(a: SupportedOperator, keep) -> SupportedOperator:
 def expm_hermitian(a: SupportedOperator, scale: float = 1.0) -> SupportedOperator:
     """e^{scale * a} for Hermitian ``a`` via eigendecomposition."""
     a.require_hermitian("expm input")
-    w, u = np.linalg.eigh(0.5 * (a.matrix + a.matrix.conj().T))
+    w, u = np.linalg.eigh(_hermitian_part(a.matrix))
     mat = (u * np.exp(scale * w)) @ u.conj().T
     return SupportedOperator(a.support, mat, a.local_dim)
 
@@ -273,7 +312,7 @@ def expm_hermitian(a: SupportedOperator, scale: float = 1.0) -> SupportedOperato
 def logm_posdef(a: SupportedOperator) -> SupportedOperator:
     """Principal logarithm of a Hermitian positive-definite operator."""
     a.require_hermitian("logm input")
-    w, u = np.linalg.eigh(0.5 * (a.matrix + a.matrix.conj().T))
+    w, u = np.linalg.eigh(_hermitian_part(a.matrix))
     wmax = float(np.max(w)) if w.size else 0.0
     wmin = float(np.min(w)) if w.size else 0.0
     if wmin <= POSDEF_REL_TOL * max(wmax, 0.0):

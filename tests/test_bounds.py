@@ -270,8 +270,8 @@ class TestVerifyBoundsSuite:
         for line, value, n_sites in rows:
             below = value < ed.exact_cmi_floor(2, n_sites)
             assert line.endswith("  (below the ED round-off floor)") == below, line
-        # the 2I of case 0 reads -2.44e-19, which is round-off
-        assert rows[3][0].startswith("case=0 cor2=") and rows[3][0].endswith("floor)")
+        # the 2I of case 0, of the neighbours 0 and 1, reads 3.4e-7
+        assert rows[3][0].startswith("case=0 cor2=") and not rows[3][0].endswith("floor)")
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_each_case_measures_a_value_above_the_floor(self, seed):
@@ -282,6 +282,13 @@ class TestVerifyBoundsSuite:
         unmarked = {line.split()[0] for line, _, _ in _value_rows(report)
                     if not line.endswith("  (below the ED round-off floor)")}
         assert unmarked == {f"case={i}" for i in range(4)}
+
+    def test_fails_on_a_correlation_above_the_mutual_information(self, monkeypatch):
+        # Cor^2 = 1e-6 exceeds 2 I(0:1), 7.6e-8 to 3.4e-7 at seed 0
+        monkeypatch.setattr(ed, "operator_correlation", lambda st, a, b: 1e-3)
+        ok, report = run_suite("bounds", 0)
+        assert not ok
+        assert "correlation inequality case=0" in report
 
 
 def _value_rows(report: str) -> list:

@@ -9,15 +9,19 @@ import pytest
 from gibbsmarkov import ed, expansion
 from gibbsmarkov.bounds import area_law_saturation_series, critical_beta, surface_region
 from gibbsmarkov.clusters import (
+    _bits,
+    _site_sets,
     count_bound_check,
     enumerate_connected,
     enumerate_connected_to_region,
     enumerate_linking,
 )
-from gibbsmarkov.derivatives import cluster_derivative
+from gibbsmarkov.derivatives import MomentTable, cluster_derivative, cmi_cluster_term
 from gibbsmarkov.expansion import (
     _scalar_series,
     _scalar_terms,
+    _stacked_hamiltonians,
+    _support_stacks,
     cmi_expansion,
     cmi_order_norm_bound,
     effective_hamiltonian,
@@ -185,6 +189,31 @@ class TestScalarSiteSets:
         got = _scalar_terms(ham, region, order)
         assert max(stacks) == 1
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: random_grid(3, 3, beta=0.5 * BETA_C, seed=0), 5),
+        (lambda: load_model(MODELS / "powerlaw_chain6.json"), 6),
+        (shared_support_chain, 6),
+    ], ids=["grid3x3", "powerlaw_chain6", "shared-support"])
+    def test_stacked_hamiltonians_are_the_dense_hamiltonians(self, build, order):
+        # each slice, bitwise: the gathered supports add what summing the
+        # terms one support at a time adds
+        ham = build()
+        region = range(ham.graph.vertex_count)
+        sets = _site_sets(ham, region, order)
+        terms = _support_stacks(ham, region)
+        sizes = sorted({v.bit_count() for v in sets})
+        assert len(sizes) > 2
+        for size in sizes:
+            masks = sorted(v for v in sets if v.bit_count() == size)
+            dim = ham.local_dim ** size
+            # a reused buffer holds what the last stack left in it
+            out = np.full((len(masks), dim, dim), np.nan, dtype=complex)
+            got = _stacked_hamiltonians(ham, masks, sets, terms, out)
+            assert got is out
+            for row, mask in enumerate(masks):
+                want = ed.hamiltonian_matrix(ham, _bits(mask)).matrix
+                assert got[row].tobytes() == want.tobytes(), _bits(mask)
 
 
 class TestEffectiveHamiltonian:
@@ -480,6 +509,74 @@ class TestCmiExpansion:
         ham = free_ham(5, beta=1.0)
         res = cmi_expansion(ham, (0,), (1, 2, 3), (4,), order=3)
         assert np.max(np.abs(res.operator.matrix)) == 0.0
+
+
+def _raw(sums: dict) -> tuple:
+    """The orders and the raw bits of the per-order sums."""
+    return list(sums), np.array(list(sums.values())).tobytes()
+
+
+class TestPerOrderNorms:
+    """Each order's norm sum, from norms taken a chunk of matrices at a
+    time, is bitwise the sum of the norms taken one matrix at a time."""
+
+    @pytest.fixture
+    def chain3(self):
+        return effective_hamiltonian(random_chain(3, beta=0.25 * BETA_C, seed=0), (1,), 5)
+
+    @pytest.fixture
+    def chain4(self):
+        return random_chain(4, beta=0.25 * BETA_C, seed=0), (0,), (1, 2), (3,)
+
+    def test_effective_hamiltonian_norms(self, chain3):
+        want = {}
+        for m, entries in sorted(chain3.boundary_terms.items()):
+            total = 0.0
+            for cluster, op in entries:
+                total += cluster.multiplicity * operator_norm(op.matrix)
+            want[m] = total
+        assert len(chain3.boundary_terms[5]) > 1
+        assert _raw(chain3.per_order_norms()) == _raw(want)
+
+    @pytest.mark.parametrize("build, regions, order", [
+        (lambda: random_chain(4, beta=0.25 * BETA_C, seed=0), ((0,), (1, 2), (3,)), 5),
+        # 361 pieces of 4x4, 8x8 and 16x16 matrices, interleaved, the 16x16
+        # ones of order 3 in several chunks
+        (lambda: load_model(MODELS / "powerlaw_chain6.json"), ((0,), (1, 2), (3, 4, 5)), 3),
+    ], ids=["chain4", "powerlaw_chain6"])
+    def test_cmi_norms(self, build, regions, order):
+        ham = build()
+        a, b, c = regions
+        moments = MomentTable(ham)
+        want = {}
+        for m in range(1, order + 1):
+            order_sum = 0.0
+            for cluster in enumerate_linking(ham, a, c, m):
+                piece = cmi_cluster_term(ham, cluster, a, b, c, moments=moments)
+                order_sum += cluster.multiplicity / math.factorial(m) * operator_norm(piece.matrix)
+            want[m] = order_sum
+        assert want[order] > 0
+        assert _raw(cmi_expansion(ham, a, b, c, order).per_order_norm_sums) == _raw(want)
+
+    def test_a_chunk_of_one_matrix_gives_the_same_sums(self, monkeypatch, chain3, chain4):
+        chunks = []
+        norms = expansion.operator_norms
+
+        def spy(matrices):
+            chunks.append(len(matrices))
+            return norms(matrices)
+
+        monkeypatch.setattr(expansion, "operator_norms", spy)
+        effham = chain3.per_order_norms()
+        cmi = cmi_expansion(*chain4, 5)
+        assert max(chunks) > 1
+        monkeypatch.setattr(expansion, "_NORM_CHUNK_BYTES", 1)
+        chunks.clear()
+        assert _raw(chain3.per_order_norms()) == _raw(effham)
+        again = cmi_expansion(*chain4, 5)
+        assert max(chunks) == 1
+        assert _raw(again.per_order_norm_sums) == _raw(cmi.per_order_norm_sums)
+        assert np.array_equal(again.operator.matrix, cmi.operator.matrix)
 
 
 class TestCertificates:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gibbsmarkov.operators import (
+    HERMITICITY_TOL,
     OperatorError,
     PositivityError,
     SupportedOperator,
@@ -14,6 +15,7 @@ from gibbsmarkov.operators import (
     expm_hermitian,
     logm_posdef,
     operator_norm,
+    operator_norms,
     partial_trace,
     trace_out,
 )
@@ -265,3 +267,62 @@ class TestMatrixFunctions:
         assert operator_norm(mat) <= nuc + 1e-12
         assert nuc <= 8 * operator_norm(mat) + 1e-12
 
+
+
+def _bits_of(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestOperatorNorms:
+    @pytest.fixture
+    def mixed(self, rng):
+        """Hermitian matrices of sizes 1 to 16, a real one, a 0x0 one,
+        non-Hermitian ones, and Hermitian ones with an anti-Hermitian
+        defect just below and just above HERMITICITY_TOL, interleaved."""
+        out = [np.zeros((0, 0), dtype=complex)]
+        for dim in (1, 2, 4, 16, 2, 4, 1, 16):
+            out.append(random_hermitian(rng, dim, norm=float(rng.uniform(0.1, 3.0))))
+            out.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            for factor in (0.9, 1.1):
+                near = random_hermitian(rng, dim, norm=0.5)
+                near[0, -1] += 1j * factor * HERMITICITY_TOL
+                out.append(near)
+        real = rng.normal(size=(2, 2))
+        out.append(real + real.T)
+        return out
+
+    def test_equals_one_matrix_at_a_time_by_raw_bits(self, mixed):
+        got = operator_norms(mixed)
+        assert _bits_of(got) == _bits_of([operator_norm(m) for m in mixed])
+        assert got[0] == 0.0
+
+    def test_follows_the_hermitian_test(self, mixed):
+        # the largest |eigenvalue| of the Hermitian part below the tolerance,
+        # the largest singular value above it
+        want = [0.0]
+        for m in mixed[1:]:
+            scale = max(1.0, float(np.abs(m).max()))
+            if np.abs(m - m.conj().T).max() <= HERMITICITY_TOL * scale:
+                want.append(float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))))
+            else:
+                want.append(float(np.linalg.norm(m, 2)))
+        assert _bits_of(operator_norms(mixed)) == _bits_of(want)
+        # the defects straddle the tolerance
+        defects = [float(np.abs(m - m.conj().T).max()) for m in mixed[1:]]
+        assert any(0.5 * HERMITICITY_TOL < x <= HERMITICITY_TOL for x in defects)
+        assert any(HERMITICITY_TOL < x < 2 * HERMITICITY_TOL for x in defects)
+
+    def test_eigensolves_once_per_shape_and_dtype(self, monkeypatch, mixed):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        operator_norms(mixed)
+        # complex stacks of sizes 1, 2, 4 and 16 and the real 2x2 alone.
+        # Each size holds two Hermitian matrices and, above 1x1, two within
+        # the tolerance; a 1x1 defect is twice the imaginary part added
+        assert sorted(calls) == [(1, 2, 2), (2, 1, 1), (4, 2, 2), (4, 4, 4), (4, 16, 16)]
